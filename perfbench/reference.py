@@ -19,12 +19,13 @@ from dataclasses import replace
 
 import checks
 import run
+from hostspeed import Meter
 
 
 def one_round(wl: run.Workload, tag: str, workers: int = 1) -> run.Pipeline:
     root = run.WORK / "reference" / tag
     shutil.rmtree(root, ignore_errors=True)
-    pipe = run.run_pipeline(wl, root, 0.0, workers=workers)
+    pipe = run.run_pipeline(wl, root, 0.0, workers=workers, meter=Meter())
     fails = run.check_pipeline(wl, pipe)
     if pipe.failed or fails:
         raise SystemExit(f"{tag}: {pipe.failed} commands failed; {fails}")
@@ -33,12 +34,12 @@ def one_round(wl: run.Workload, tag: str, workers: int = 1) -> run.Pipeline:
 
 def pool() -> None:
     wl = replace(run.WORKLOADS["cma-nn-20"], eval_repeats=1)
-    print("| pair | workers | train_s |")
+    print("| pair | workers | train wall s |")
     print("| --- | --- | --- |")
     for pair in range(2):
         for workers in (1, 2):
             pipe = one_round(wl, f"pool-{workers}", workers)
-            print(f"| {pair + 1} | {workers} | {pipe.rounds[0].train_s:.2f} |", flush=True)
+            print(f"| {pair + 1} | {workers} | {pipe.rounds[0].train.wall_s:.2f} |", flush=True)
 
 
 def seeds(*names: str) -> None:

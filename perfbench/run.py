@@ -10,7 +10,9 @@ installed) and drives the command line through gridcharge.cli.main(argv):
 --seconds have passed, at least one round. Every output is checked by
 checks.py, which does not import gridcharge. The last line printed is one
 JSON result: correct, operations attempted and failed (an operation is one
-CLI command), and the end-to-end metrics.
+CLI command), and the end-to-end metrics. Their timings are in reference
+seconds: wall time scaled by a probe of the host's speed taken while each
+command runs (hostspeed.py); the raw wall times go to standard error.
 
 With --trace 1 the pipeline runs twice in the process, one round and one
 eval each: plain, then with the timing wrappers of tracer.py installed. The
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import checks
+from hostspeed import Meter, Timing
 from tracer import Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,22 +91,20 @@ class Workload:
         ]
 
 
-# cma-nn-20 is not in BENCHMARK.json: see README.md. It stays runnable for
-# reference figures.
 WORKLOADS = {
     "cma-nn-20": Workload(
-        gen=GEN_20, kind="nn", inputs="a", optimizer="cma", iterations=30, eval_repeats=7,
+        gen=GEN_20, kind="nn", inputs="a", optimizer="cma", iterations=40, eval_repeats=6,
     ),
     "numgrad-esn-20": Workload(
-        gen=GEN_20, kind="esn", inputs="h", optimizer="numgrad", iterations=6,
-        train_extra=("--window-hours", "72", "--objective-hours", "48"), eval_repeats=15,
+        gen=GEN_20, kind="esn", inputs="h", optimizer="numgrad", iterations=3,
+        train_extra=("--window-hours", "72", "--objective-hours", "48"), eval_repeats=6,
     ),
     "default-74": Workload(
         gen=(
             "--seed", "0", "--config", "households=74",
             "--config", "train_days=15", "--config", "tune_days=8", "--config", "test_days=21",
         ),
-        kind="nn", inputs="a", optimizer="cma", iterations=12,
+        kind="nn", inputs="a", optimizer="cma", iterations=3,
     ),
 }
 
@@ -111,8 +112,8 @@ WORKLOADS = {
 @dataclass
 class Round:
     directory: Path
-    train_s: float
-    eval_s: list[float]
+    train: Timing
+    evals: list[Timing]
     ok: bool  # every command of the round exited 0
 
 
@@ -120,7 +121,7 @@ class Round:
 class Pipeline:
     """What one gen + rounds of train/eval did, with its timings."""
 
-    setup_end: float = 0.0
+    setup: Timing | None = None
     dataset: object = None
     rounds: list[Round] = field(default_factory=list)
     attempted: int = 0
@@ -128,49 +129,61 @@ class Pipeline:
     wall_s: float = 0.0
 
 
-def _command(pipe: Pipeline, argv: list[str]) -> tuple[bool, float]:
+def _cli(argv: list[str]) -> int:
     from gridcharge import cli
 
-    t = time.perf_counter()
-    code = cli.main(argv)
-    elapsed = time.perf_counter() - t
+    return cli.main(argv)
+
+
+def _command(pipe: Pipeline, argv: list[str], meter: Meter | None) -> tuple[bool, Timing | None]:
+    """Runs one CLI command, timed by the meter if there is one."""
+    if meter is None:
+        code, timing = _cli(argv), None
+    else:
+        code, timing = meter.time(_cli, argv)
     pipe.attempted += 1
     if code != 0:
         pipe.failed += 1
         print(f"command failed with exit code {code}: {' '.join(argv)}", file=sys.stderr)
-    return code == 0, elapsed
+    return code == 0, timing
 
 
-def run_pipeline(wl: Workload, root: Path, seconds: float, workers: int = 1) -> Pipeline:
+def run_pipeline(
+    wl: Workload, root: Path, seconds: float, workers: int = 1, meter: Meter | None = None,
+) -> Pipeline:
     """`gen` once, then rounds of `train` and `eval` until `seconds` have
-    passed since the first round began (one round at least)."""
+    passed since the first round began (one round at least). With a meter,
+    set-up is timed from the start of the process and every command on its
+    own."""
     t0 = time.perf_counter()
     data = root / "data"
     pipe = Pipeline()
-    ok, _ = _command(pipe, ["gen", "--out", str(data), *wl.gen])
+    ok, _ = _command(pipe, ["gen", "--out", str(data), *wl.gen], None)
     if ok:
         pipe.dataset = checks.read_dataset(data)
-    pipe.setup_end = time.perf_counter()
+    if meter is not None:
+        pipe.setup = meter.since_start(_T0)
+    rounds_start = time.perf_counter()
 
     while True:
         rdir = root / f"round{len(pipe.rounds)}"
         rdir.mkdir(parents=True)
         params = str(rdir / "params.json")
-        train_ok, train_s = _command(pipe, [
+        train_ok, train = _command(pipe, [
             "train", "--data", str(data), "--out", params,
             "--log", str(rdir / "train_log.csv"), *wl.train_args(workers),
-        ])
+        ], meter)
         evals = []
         round_ok = ok and train_ok
         for i in range(wl.eval_repeats):
-            eval_ok, eval_s = _command(pipe, [
+            eval_ok, timing = _command(pipe, [
                 "eval", "--data", str(data), "--out", str(rdir / f"eval{i}"),
                 "--params", params, "--split", "test",
-            ])
-            evals.append(eval_s)
+            ], meter)
+            evals.append(timing)
             round_ok = round_ok and eval_ok
-        pipe.rounds.append(Round(rdir, train_s, evals, round_ok))
-        if time.perf_counter() - pipe.setup_end >= seconds:
+        pipe.rounds.append(Round(rdir, train, evals, round_ok))
+        if time.perf_counter() - rounds_start >= seconds:
             break
     pipe.wall_s = time.perf_counter() - t0
     return pipe
@@ -208,19 +221,29 @@ def test_std_kw(wl: Workload, pipe: Pipeline) -> float | None:
     return None
 
 
-def plain_run(wl: Workload, work: Path, seconds: float) -> tuple[dict, list[str], Pipeline]:
-    pipe = run_pipeline(wl, work, seconds)
+def plain_run(wl: Workload, work: Path, seconds: float, meter: Meter) -> tuple[dict, list[str], Pipeline]:
+    pipe = run_pipeline(wl, work, seconds, meter=meter)
     ok_rounds = [r for r in pipe.rounds if r.ok]
     fails = check_pipeline(wl, pipe)
     metrics = {}
     if ok_rounds:
+        trains = [r.train for r in ok_rounds]
+        evals = [e for r in ok_rounds for e in r.evals]
         metrics = {
-            "setup_s": pipe.setup_end - _T0,
-            "train_s": statistics.median(r.train_s for r in ok_rounds),
-            "eval_s": statistics.median(s for r in ok_rounds for s in r.eval_s),
+            "setup_s": pipe.setup.reference_s,
+            "train_s": statistics.median(t.reference_s for t in trains),
+            "eval_s": statistics.median(e.reference_s for e in evals),
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "test_std_kw": test_std_kw(wl, pipe),
         }
+        # The figures the reference seconds were scaled from.
+        for name, timings in (("setup", [pipe.setup]), ("train", trains), ("eval", evals)):
+            print(
+                f"{name}: median wall {statistics.median(t.wall_s for t in timings):.4f} s, "
+                f"probe {1e3 * statistics.median(t.probe_mean_s for t in timings):.4f} ms "
+                f"over {sum(t.probes for t in timings)} probes",
+                file=sys.stderr,
+            )
     return metrics, fails, pipe
 
 
@@ -274,7 +297,12 @@ def main(argv: list[str] | None = None) -> int:
         metrics, fails, pipes = traced_run(wl, work)
         wanted = spec["per_layer"]
     else:
-        metrics, fails, pipe = plain_run(wl, work, args.seconds)
+        meter = Meter()
+        meter.start()
+        try:
+            metrics, fails, pipe = plain_run(wl, work, args.seconds, meter)
+        finally:
+            meter.stop()
         pipes = [pipe]
         wanted = spec["end_to_end"]
         if not fails:
