@@ -23,7 +23,6 @@ from .data import (
 from .domain import (
     ChargingRequest,
     Household,
-    RequestBook,
     Scenario,
     SimResult,
     Timebase,
@@ -70,7 +69,6 @@ __all__ = [
     "OptResult",
     "OracleResult",
     "ParameterError",
-    "RequestBook",
     "RuleController",
     "Scenario",
     "SimKernel",

@@ -290,6 +290,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         eval_scenario = scenario
     else:
         eval_scenario = datamod.split_scenario(scenario, splits, args.split)
+    if not eval_scenario.all_requests():
+        log.warning(
+            "the %r split holds no charging request; every controller will score as no_charge",
+            args.split,
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

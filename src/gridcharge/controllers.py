@@ -12,8 +12,9 @@ charge at constant speed) skip features and filtering entirely.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
+
+
+def deadline_floor_kw(
+    remaining_kwh: np.ndarray, remaining_steps: np.ndarray, max_kw: np.ndarray, step_hours: float
+) -> np.ndarray:
+    """The just-in-time rate: what must be charged now so that full-speed
+    charging for the rest of the window can still finish the request. Zero
+    while there is slack."""
+    slack_kwh = max_kw * (np.maximum(remaining_steps, 1.0) - 1.0) * step_hours
+    return np.minimum(np.maximum(remaining_kwh - slack_kwh, 0.0) / step_hours, max_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +93,11 @@ class ControllerParams:
             raise ParameterError(f"smoothing must be in [0, 1], got {self.smoothing}")
         if not (0.0 < self.leak_rate <= 1.0):
             raise ParameterError(f"leak_rate must be in (0, 1], got {self.leak_rate}")
+        if self.hidden_size < 1 or self.reservoir_size < 1:
+            raise ParameterError(
+                f"hidden_size and reservoir_size must be >= 1, got {self.hidden_size} "
+                f"and {self.reservoir_size}"
+            )
         self.theta = np.asarray(self.theta, dtype=float)
         expected = theta_size(self)
         if self.theta.shape != (expected,):
@@ -128,6 +144,10 @@ def init_params(
     """Fresh controller parameters with small gaussian weights."""
     if kind not in TRAINABLE_KINDS:
         raise ConfigError(f"cannot initialize parameters for kind {kind!r}")
+    if hidden_size < 1 or reservoir_size < 1:
+        raise ConfigError(
+            f"hidden size and reservoir size must be >= 1, got {hidden_size} and {reservoir_size}"
+        )
     if reservoir_seed is None:
         reservoir_seed = int(rng.integers(0, 2**31 - 1))
     size = theta_size_for(kind, input_mode, hidden_size=hidden_size, reservoir_size=reservoir_size)
@@ -195,6 +215,8 @@ def load_params(path: str | Path) -> ControllerParams:
             kwargs["reservoir_seed"] = int(esn["seed"])
     except KeyError as exc:
         raise ParameterError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: malformed field value ({exc})") from None
     return ControllerParams(**kwargs)
 
 
@@ -246,6 +268,13 @@ def build_reservoir(
     raise ParameterError(f"could not build a usable reservoir from seed {seed}")
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_reservoir(d_in: int, size: int, seed: int) -> ReservoirWeights:
+    # The weights are read-only, so every controller with the same
+    # (input size, reservoir size, seed) can share one build.
+    return build_reservoir(d_in, size, seed)
+
+
 # ---------------------------------------------------------------------------
 # Controllers
 # ---------------------------------------------------------------------------
@@ -262,13 +291,13 @@ class LearnedController:
 
     needs_features = True
 
-    def __init__(self, params: ControllerParams, reservoir: ReservoirWeights | None = None):
+    def __init__(self, params: ControllerParams):
         self.params = params
         self.d_in = feature_count(params.input_mode)
         if params.kind == KIND_ESN:
-            if reservoir is None:
-                reservoir = build_reservoir(self.d_in, params.reservoir_size, params.reservoir_seed)
-            self.reservoir = reservoir
+            self.reservoir = _shared_reservoir(
+                self.d_in, params.reservoir_size, params.reservoir_seed
+            )
             self.w_out = params.theta[: params.reservoir_size + self.d_in]
             self.b_out = float(params.theta[-1])
         else:
@@ -313,15 +342,9 @@ class LearnedController:
         if self._last_output is None:
             raise ConfigError("controller used before reset()")
         r = self.rates(x)
-        # Feasibility floor: the just-in-time rate, i.e. what must be charged
-        # NOW so that full-speed charging for the rest of the window can still
-        # finish the request. Zero while there is slack, so the policy is free
-        # to defer charging entirely.
-        steps = np.maximum(remaining_steps, 1.0)
-        slack_kwh = max_kw * (steps - 1.0) * step_hours
-        floor = np.minimum(
-            np.maximum(remaining_kwh - slack_kwh, 0.0) / step_hours, max_kw
-        )
+        # The deadline floor is zero while there is slack, so the policy is
+        # free to defer charging entirely.
+        floor = deadline_floor_kw(remaining_kwh, remaining_steps, max_kw, step_hours)
         beta = self.params.smoothing
         blended = beta * self._last_output + (1.0 - beta) * max_kw * r
         out = np.minimum(np.maximum(blended, floor), max_kw)
@@ -354,16 +377,12 @@ class RuleController:
         max_kw: np.ndarray,
         step_hours: float,
     ) -> np.ndarray:
-        steps = np.maximum(remaining_steps, 1.0)
         if self.kind == KIND_MAX:
             # Front-load: run at the rate limit until the request is done.
             out = np.minimum(max_kw, remaining_kwh / step_hours)
         elif self.kind == KIND_MIN:
             # Back-load: charge only what cannot be deferred to later steps.
-            deferrable = max_kw * (steps - 1.0) * step_hours
-            out = np.minimum(
-                np.maximum((remaining_kwh - deferrable) / step_hours, 0.0), max_kw
-            )
+            out = deadline_floor_kw(remaining_kwh, remaining_steps, max_kw, step_hours)
         else:
             # Flat rate sized so the full demand lands exactly at departure.
             total = np.maximum(total_steps, 1.0)
@@ -372,12 +391,10 @@ class RuleController:
         return out
 
 
-def make_controller(
-    spec: str | ControllerParams, reservoir: ReservoirWeights | None = None
-) -> LearnedController | RuleController:
+def make_controller(spec: str | ControllerParams) -> LearnedController | RuleController:
     """Controller from a baseline kind name or trained parameters."""
     if isinstance(spec, ControllerParams):
-        return LearnedController(spec, reservoir=reservoir)
+        return LearnedController(spec)
     if spec in BASELINE_KINDS:
         return RuleController(spec)
     raise ConfigError(

@@ -268,11 +268,9 @@ def synth_scenario(
     tb = Timebase(start=start, n_steps=n_days * (SECONDS_PER_DAY // step_seconds),
                   step_seconds=step_seconds)
 
-    root = np.random.default_rng(np.random.SeedSequence(seed))
     loads_rng, travel_rng, req_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
-    del root
 
     baselines = synth_baselines(loads_rng, tb, n_households)
     pool = build_travel_pool(travel_rng)

@@ -1,4 +1,4 @@
-"""Core data model: timebase, charging requests, scenarios, and request lifecycle.
+"""Core data model: timebase, charging requests and scenarios, and their CSV files.
 
 All energy is accounted in kWh and all power in kW; a charging "speed" is a
 power in kW held for one simulation step. Converting between the two uses
@@ -8,10 +8,9 @@ power in kW held for one simulation step. Converting between the two uses
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -220,117 +219,6 @@ def slice_scenario(scenario: Scenario, start_step: int, end_step: int) -> Scenar
     return Scenario(timebase=new_tb, households=tuple(households))
 
 
-@dataclass(frozen=True)
-class ActiveRequest:
-    """View of one request that is live at a query step."""
-
-    request: ChargingRequest
-    remaining_energy: float
-    remaining_steps: int
-
-
-class RequestBook:
-    """Request lifecycle bookkeeping for one simulation run.
-
-    Tracks remaining energy per request, answers "which request is active for
-    household h at step t", and applies per-step charging decrements. All
-    per-step queries are vectorized over households; `active_request` exposes
-    the single-household view.
-    """
-
-    def __init__(self, scenario: Scenario):
-        tb = scenario.timebase
-        self.step_hours = tb.step_hours
-        self.n_households = scenario.n_households
-        self.n_steps = tb.n_steps
-        self.requests = scenario.all_requests()
-        n_req = len(self.requests)
-
-        self.house = np.empty(n_req, dtype=np.int32)
-        self.arrive = np.empty(n_req, dtype=np.int64)
-        self.depart = np.empty(n_req, dtype=np.int64)
-        self.required = np.empty(n_req, dtype=float)
-        self.max_kw = np.empty(n_req, dtype=float)
-        r = 0
-        for hi, h in enumerate(scenario.households):
-            for req in h.requests:
-                self.house[r] = hi
-                self.arrive[r] = req.t_arrive
-                self.depart[r] = req.t_depart
-                self.required[r] = req.required_energy
-                self.max_kw[r] = req.max_kw
-                r += 1
-
-        # Per-(household, step) id of the request whose interval covers the
-        # step, or -1. Intervals are disjoint per household, so this is unique.
-        self.slot = np.full((self.n_households, tb.n_steps), -1, dtype=np.int32)
-        for r in range(n_req):
-            self.slot[self.house[r], self.arrive[r]:self.depart[r]] = r
-
-        self.remaining = self.required.copy()
-        self.enabled = np.ones(n_req, dtype=bool)
-
-    def reset(self, start_step: int = 0) -> None:
-        """Restore full remaining energy; disable requests arriving before start_step."""
-        self.remaining[:] = self.required
-        self.enabled[:] = self.arrive >= start_step
-
-    def ids_at(self, t: int) -> np.ndarray:
-        return self.slot[:, t]
-
-    def active_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Active = interval covers t, request enabled, energy still owed."""
-        covered = ids >= 0
-        safe = np.where(covered, ids, 0)
-        return covered & self.enabled[safe] & (self.remaining[safe] > FINISH_TOL_KWH)
-
-    def apply_charging(self, ids: np.ndarray, active: np.ndarray, charge_kw: np.ndarray) -> None:
-        """Decrement remaining energy with the charging applied at the ids' step."""
-        live = ids[active]
-        self.remaining[live] = np.maximum(
-            0.0, self.remaining[live] - charge_kw[active] * self.step_hours
-        )
-
-    def check_feasible(self, t: int, ids: np.ndarray, active: np.ndarray) -> None:
-        live = ids[active]
-        headroom = self.max_kw[live] * (self.depart[live] - t) * self.step_hours
-        bad = self.remaining[live] > headroom + ENERGY_TOL_KWH
-        if np.any(bad):
-            r = int(live[np.argmax(bad)])
-            req = self.requests[r]
-            raise ValidationError(
-                f"request for {req.household_id} at step {req.t_arrive} became infeasible at "
-                f"step {t}: {self.remaining[r]:.6f} kWh owed, {headroom[np.argmax(bad)]:.6f} "
-                f"kWh deliverable"
-            )
-
-    def active_request(self, house_index: int, t: int) -> ActiveRequest | None:
-        """The unique live request for a household at step t, if any."""
-        r = int(self.slot[house_index, t])
-        if r < 0 or not self.enabled[r] or self.remaining[r] <= FINISH_TOL_KWH:
-            return None
-        return ActiveRequest(
-            request=self.requests[r],
-            remaining_energy=float(self.remaining[r]),
-            remaining_steps=int(self.depart[r] - t),
-        )
-
-    def audit_completion(self, end_step: int) -> None:
-        """Every enabled request due by end_step must be fully served."""
-        due = self.enabled & (self.depart <= end_step)
-        owed = self.remaining[due]
-        if owed.size and np.max(owed) > ENERGY_TOL_KWH:
-            r = int(np.flatnonzero(due)[np.argmax(owed)])
-            req = self.requests[r]
-            raise SimulationIncomplete(
-                f"request for {req.household_id} departing at step {req.t_depart} left "
-                f"{np.max(owed):.3e} kWh undelivered"
-            )
-
-    def delivered(self) -> np.ndarray:
-        return self.required - self.remaining
-
-
 class SimulationIncomplete(ValidationError):
     """A request reached its departure with energy still owed."""
 
@@ -422,7 +310,10 @@ def load_scenario(directory: str | Path) -> Scenario:
         for extra in header[len(LOADS_HEADER):]:
             key, _, val = extra.partition("=")
             if key == "step_seconds":
-                step_seconds = int(val)
+                try:
+                    step_seconds = int(val)
+                except ValueError:
+                    raise ValidationError(f"loads.csv row 1: bad step_seconds {val!r}") from None
         for i, row in enumerate(reader, start=2):
             if len(row) != len(LOADS_HEADER):
                 raise ValidationError(f"loads.csv row {i}: expected {len(LOADS_HEADER)} columns")

@@ -13,10 +13,15 @@ Layout (household mode, columns 0-11):
   3 window_fraction_left remaining steps / total steps of the open request
   4 energy_fraction_left remaining energy / requested energy
   5 min_rate_ratio       deadline-keeping flat rate / rate limit
-  6 const_rate_ratio     tightest constant rate over the window / rate limit
+  6 const_rate_ratio     a copy of column 5
   7-11                   household load history block (see history_block)
 Grid mode appends columns 12-16: the same history block on total grid load.
 Columns 3-6 are zero while no request is open.
+
+Column 6 repeats column 5 on purpose: the flat rate that spreads the energy
+still owed evenly over the steps left is also the tightest constant rate, so
+the two quantities coincide. The column stays so that the feature count, and
+with it the theta size of params format version 1, does not change.
 """
 
 from __future__ import annotations
@@ -143,10 +148,3 @@ def history_block(
     np.divide(cur - lo, span, out=out[:, 4], where=span > 0)
     return out
 
-
-def constant_rate_kw(
-    remaining_kwh: np.ndarray, remaining_steps: np.ndarray, step_hours: float
-) -> np.ndarray:
-    """Charging rate that spreads the remaining energy evenly over the window."""
-    steps = np.maximum(remaining_steps, 1)
-    return remaining_kwh / (steps * step_hours)

@@ -17,16 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controllers import (
-    KIND_ESN,
-    ControllerParams,
-    ReservoirWeights,
-    build_reservoir,
-    make_controller,
-)
+from .controllers import ControllerParams, make_controller
 from .domain import Scenario
 from .errors import ConfigError, ParameterError
-from .features import feature_count
 from .simulator import SimKernel, default_warmup, objective_std
 
 STEP_SIZE_GRID = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
@@ -55,22 +48,28 @@ class OptResult:
 # Objective evaluation, optionally fanned out over worker processes
 # ---------------------------------------------------------------------------
 
-_WORKER_CTX: tuple[SimKernel, ControllerParams, ReservoirWeights | None] | None = None
+# (parameter vector, start step, end step, warmup steps) of one simulation.
+Task = tuple[np.ndarray, int, int | None, int | None]
 
 
-def _worker_init(scenario: Scenario, template: ControllerParams,
-                 reservoir: ReservoirWeights | None) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (SimKernel(scenario), template, reservoir)
-
-
-def _worker_eval(task: tuple[np.ndarray, int, int | None, int | None]) -> float:
-    assert _WORKER_CTX is not None
-    kernel, template, reservoir = _WORKER_CTX
+def _evaluate(kernel: SimKernel, template: ControllerParams, task: Task) -> float:
     theta, start, end, warmup = task
-    controller = make_controller(template.with_theta(theta), reservoir=reservoir)
+    controller = make_controller(template.with_theta(theta))
     result = kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
     return objective_std(result)
+
+
+_WORKER_CTX: tuple[SimKernel, ControllerParams] | None = None
+
+
+def _worker_init(scenario: Scenario, template: ControllerParams) -> None:
+    global _WORKER_CTX
+    _WORKER_CTX = (SimKernel(scenario), template)
+
+
+def _worker_eval(task: Task) -> float:
+    assert _WORKER_CTX is not None
+    return _evaluate(*_WORKER_CTX, task)
 
 
 class Evaluator:
@@ -84,13 +83,6 @@ class Evaluator:
     def __init__(self, scenario: Scenario, template: ControllerParams, *, workers: int = 1):
         self.scenario = scenario
         self.template = template
-        self.reservoir = None
-        if template.kind == KIND_ESN:
-            self.reservoir = build_reservoir(
-                feature_count(template.input_mode),
-                template.reservoir_size,
-                template.reservoir_seed,
-            )
         self.kernel = SimKernel(scenario)
         self.warmup = default_warmup(scenario.timebase)
         self._pool: ProcessPoolExecutor | None = None
@@ -98,7 +90,7 @@ class Evaluator:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
-                initargs=(scenario, template, self.reservoir),
+                initargs=(scenario, template),
             )
 
     def __enter__(self) -> "Evaluator":
@@ -112,19 +104,14 @@ class Evaluator:
             self._pool.shutdown()
             self._pool = None
 
-    def _eval_local(self, task: tuple[np.ndarray, int, int | None, int | None]) -> float:
-        theta, start, end, warmup = task
-        controller = make_controller(self.template.with_theta(theta), reservoir=self.reservoir)
-        result = self.kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
-        return objective_std(result)
-
-    def _map(self, tasks: list[tuple[np.ndarray, int, int | None, int | None]]) -> list[float]:
+    def _map(self, tasks: list[Task]) -> list[float]:
         if self._pool is None:
-            return [self._eval_local(t) for t in tasks]
+            return [_evaluate(self.kernel, self.template, t) for t in tasks]
         return list(self._pool.map(_worker_eval, tasks))
 
     def __call__(self, theta: np.ndarray) -> float:
-        return self._eval_local((np.asarray(theta, dtype=float), 0, None, self.warmup))
+        task = (np.asarray(theta, dtype=float), 0, None, self.warmup)
+        return _evaluate(self.kernel, self.template, task)
 
     def map_full(self, thetas: Sequence[np.ndarray]) -> list[float]:
         return self._map([(np.asarray(t, dtype=float), 0, None, self.warmup) for t in thetas])
@@ -459,15 +446,9 @@ def tune_smoothing(
     Ties go to the smaller weight.
     """
     kernel = SimKernel(scenario)
-    reservoir = None
-    if params.kind == KIND_ESN:
-        reservoir = build_reservoir(
-            feature_count(params.input_mode), params.reservoir_size, params.reservoir_seed
-        )
     table = []
     for beta in grid:
-        candidate = replace(params, smoothing=float(beta))
-        controller = make_controller(candidate, reservoir=reservoir)
+        controller = make_controller(replace(params, smoothing=float(beta)))
         table.append((float(beta), objective_std(kernel.run(controller))))
     best_beta = min(table, key=lambda row: (row[1], row[0]))[0]
     return replace(params, smoothing=best_beta), table

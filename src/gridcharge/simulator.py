@@ -26,7 +26,6 @@ from .controllers import LearnedController, RuleController
 from .domain import (
     ENERGY_TOL_KWH,
     FINISH_TOL_KWH,
-    RequestBook,
     Scenario,
     SimResult,
     SimulationIncomplete,
@@ -59,7 +58,6 @@ class SimKernel:
         n_house = scenario.n_households
         self.base = scenario.baseline_matrix()
         self.base_total = self.base.sum(axis=0)
-        self.book = RequestBook(scenario)
 
         self.clock = np.empty((n_steps, 3))
         for t in range(n_steps):
@@ -88,27 +86,25 @@ class SimKernel:
         arrivals: dict[int, tuple[list[int], list[float]]] = {}
         departures: dict[int, list[int]] = {}
         dh = tb.step_hours
-        book = self.book
-        for r in range(len(book.requests)):
-            h = int(book.house[r])
-            t0 = int(book.arrive[r])
-            t1 = int(book.depart[r])
-            span = np.arange(t0, t1)
-            left = (t1 - span).astype(float)
-            self.covered[t0:t1, h] = True
-            self.rem_steps[t0:t1, h] = left
-            self.total_steps[t0:t1, h] = t1 - t0
-            self.required[t0:t1, h] = book.required[r]
-            self.max_kw[t0:t1, h] = book.max_kw[r]
-            self.frac_steps[t0:t1, h] = left / (t1 - t0)
-            if book.required[r] > 0:
-                self.inv_required[t0:t1, h] = 1.0 / book.required[r]
-            self.inv_rem_energy[t0:t1, h] = 1.0 / (left * dh)
-            self.inv_max_kw[t0:t1, h] = 1.0 / book.max_kw[r]
-            self.headroom_tol[t0:t1, h] = book.max_kw[r] * left * dh + ENERGY_TOL_KWH
-            arrivals.setdefault(t0, ([], []))[0].append(h)
-            arrivals.setdefault(t0, ([], []))[1].append(float(book.required[r]))
-            departures.setdefault(t1, []).append(h)
+        for h, household in enumerate(scenario.households):
+            for req in household.requests:
+                t0, t1 = req.t_arrive, req.t_depart
+                left = (t1 - np.arange(t0, t1)).astype(float)
+                self.covered[t0:t1, h] = True
+                self.rem_steps[t0:t1, h] = left
+                self.total_steps[t0:t1, h] = t1 - t0
+                self.required[t0:t1, h] = req.required_energy
+                self.max_kw[t0:t1, h] = req.max_kw
+                self.frac_steps[t0:t1, h] = left / (t1 - t0)
+                if req.required_energy > 0:
+                    self.inv_required[t0:t1, h] = 1.0 / req.required_energy
+                self.inv_rem_energy[t0:t1, h] = 1.0 / (left * dh)
+                self.inv_max_kw[t0:t1, h] = 1.0 / req.max_kw
+                self.headroom_tol[t0:t1, h] = req.max_kw * left * dh + ENERGY_TOL_KWH
+                rows, owed = arrivals.setdefault(t0, ([], []))
+                rows.append(h)
+                owed.append(float(req.required_energy))
+                departures.setdefault(t1, []).append(h)
         self.arrivals = {
             t: (np.asarray(rows, dtype=np.intp), np.asarray(vals))
             for t, (rows, vals) in arrivals.items()

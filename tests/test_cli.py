@@ -9,7 +9,7 @@ import pytest
 
 from gridcharge.cli import _safe_name, default_workers, main, parse_gen_config
 from gridcharge.controllers import load_params, make_controller
-from gridcharge.data import load_dataset
+from gridcharge.data import load_dataset, split_scenario
 from gridcharge.optim import SMOOTHING_GRID
 
 TINY = [
@@ -201,6 +201,22 @@ def test_eval_unknown_split_falls_back_to_whole_scenario(dataset, tmp_path, capl
     assert n_rows == 4 * 96
 
 
+def test_eval_warns_when_the_split_holds_no_request(dataset, tmp_path, caplog):
+    scenario, splits = load_dataset(dataset)
+    assert not split_scenario(scenario, splits, "test").all_requests()
+    with caplog.at_level(logging.WARNING, logger="gridcharge"):
+        rc = run("eval", "--data", dataset, "--out", tmp_path / "empty", "--no-oracle")
+    assert rc == 0
+    assert any("'test' split holds no charging request" in r.message for r in caplog.records)
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gridcharge"):
+        rc = run("eval", "--data", dataset, "--out", tmp_path / "all", "--split", "all",
+                 "--no-oracle")
+    assert rc == 0
+    assert not any("no charging request" in r.message for r in caplog.records)
+
+
 def test_eval_duplicate_names_get_distinct_dirs(dataset, trained, tmp_path):
     out = tmp_path / "dup"
     rc = run(
@@ -215,6 +231,37 @@ def test_eval_duplicate_names_get_distinct_dirs(dataset, trained, tmp_path):
 def test_missing_dataset_exits_3(tmp_path):
     assert run("eval", "--data", tmp_path / "nope", "--out", tmp_path / "o") == 3
     assert run("train", "--data", tmp_path / "nope", "--out", tmp_path / "p.json") == 3
+
+
+def test_bad_step_seconds_header_exits_3(tmp_path, caplog):
+    data = tmp_path / "bad"
+    data.mkdir()
+    (data / "loads.csv").write_text(
+        "timestamp,household_id,baseline_kw,step_seconds=abc\n2026-03-02T00:00:00,h000,1.0\n"
+    )
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("eval", "--data", data, "--out", tmp_path / "o", "--no-oracle")
+    assert rc == 3
+    assert any("loads.csv row 1" in r.message for r in caplog.records)
+
+
+def test_malformed_params_file_exits_3(dataset, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "kind": "nn", "input_mode": "h", "theta": ["abc"],
+    }))
+    rc = run("eval", "--data", dataset, "--out", tmp_path / "o", "--params", path, "--no-oracle")
+    assert rc == 3
+
+
+@pytest.mark.parametrize("flag", ["--hidden-size", "--reservoir-size"])
+def test_train_rejects_empty_network_exits_2(dataset, tmp_path, flag):
+    rc = run(
+        "train", "--data", dataset, "--out", tmp_path / "p.json",
+        "--iterations", 1, "--popsize", 2, flag, 0,
+    )
+    assert rc == 2
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_missing_params_file_exits_2(dataset, tmp_path):

@@ -73,6 +73,8 @@ def test_theta_size_matches_params():
         dict(smoothing=-0.1),
         dict(leak_rate=0.0),
         dict(leak_rate=1.2),
+        dict(hidden_size=0, theta=np.zeros(1)),
+        dict(kind=KIND_ESN, reservoir_size=0, theta=np.zeros(13)),
     ],
 )
 def test_params_validation(kwargs):
@@ -92,6 +94,12 @@ def test_params_reject_non_finite_theta():
     theta[3] = np.nan
     with pytest.raises(ParameterError, match="non-finite"):
         ControllerParams(kind=KIND_NN, input_mode="h", theta=theta)
+
+
+@pytest.mark.parametrize("size", [dict(hidden_size=0), dict(reservoir_size=0)])
+def test_init_params_rejects_empty_network(size):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        init_params(KIND_ESN, "h", np.random.default_rng(0), **size)
 
 
 def test_init_params_reproducible_and_scaled():
@@ -147,6 +155,27 @@ def test_load_params_reports_missing_field(tmp_path):
     path = tmp_path / "incomplete.json"
     path.write_text(json.dumps({"format_version": 1, "kind": "nn"}))
     with pytest.raises(ParameterError, match="input_mode"):
+        load_params(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("theta", ["abc"]),
+        ("smoothing", None),
+        ("nn", {"hidden_size": "five"}),
+        ("nn", 5),
+        ("esn", {"seed": "x"}),
+    ],
+)
+def test_load_params_reports_malformed_field(tmp_path, field, value):
+    p = init_params(KIND_ESN if field == "esn" else KIND_NN, "h", np.random.default_rng(0))
+    path = tmp_path / "p.json"
+    save_params(p, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParameterError, match="malformed"):
         load_params(path)
 
 
@@ -306,9 +335,10 @@ def test_esn_state_update_matches_manual_computation():
     res = build_reservoir(d, size, seed=9)
     theta = np.random.default_rng(1).normal(size=size + d + 1) * 0.1
     p = ControllerParams(
-        kind=KIND_ESN, input_mode="h", theta=theta, reservoir_size=size, leak_rate=0.3
+        kind=KIND_ESN, input_mode="h", theta=theta, reservoir_size=size, leak_rate=0.3,
+        reservoir_seed=9,
     )
-    ctl = LearnedController(p, reservoir=res)
+    ctl = LearnedController(p)
     ctl.reset(2)
     x = np.random.default_rng(2).normal(size=(2, d))
 

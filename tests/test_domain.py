@@ -1,4 +1,4 @@
-"""Core data model: timebase math, validation, lifecycle bookkeeping, CSV IO."""
+"""Core data model: timebase math, validation, CSV IO."""
 
 from datetime import datetime, timedelta
 
@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from gridcharge.domain import (
     ChargingRequest,
     Household,
-    RequestBook,
     Scenario,
-    SimulationIncomplete,
     Timebase,
     load_scenario,
     save_scenario,
@@ -172,57 +170,6 @@ def test_slice_scenario_bounds_checked():
         slice_scenario(scenario, 4, 3)
     with pytest.raises(ValidationError):
         slice_scenario(scenario, 0, 9)
-
-
-# --- RequestBook ------------------------------------------------------------
-
-
-def test_request_book_lifecycle():
-    scenario = one_household(requests=(ChargingRequest("h000", 2, 5, 5.0, 20.0),))
-    book = RequestBook(scenario)
-    book.reset()
-
-    assert book.active_request(0, 1) is None
-    view = book.active_request(0, 2)
-    assert view is not None
-    assert view.remaining_energy == 5.0
-    assert view.remaining_steps == 3
-
-    ids = book.ids_at(2)
-    active = book.active_mask(ids)
-    assert active[0]
-    # One step at 20 kW delivers 5 kWh; the request is finished.
-    book.apply_charging(ids, active, np.array([20.0]))
-    assert book.active_request(0, 3) is None
-    assert not book.active_mask(book.ids_at(3))[0]
-    assert book.delivered()[0] == pytest.approx(5.0)
-    book.audit_completion(5)
-
-
-def test_request_book_audit_flags_unserved():
-    scenario = one_household(requests=(ChargingRequest("h000", 0, 4, 2.0, 8.0),))
-    book = RequestBook(scenario)
-    book.reset()
-    with pytest.raises(SimulationIncomplete):
-        book.audit_completion(8)
-
-
-def test_request_book_reset_disables_earlier_arrivals():
-    scenario = one_household(requests=(ChargingRequest("h000", 1, 5, 2.0, 8.0),))
-    book = RequestBook(scenario)
-    book.reset(start_step=3)
-    assert book.active_request(0, 3) is None
-    book.audit_completion(8)  # the disabled request owes nothing
-
-
-def test_request_book_feasibility_check():
-    scenario = one_household(requests=(ChargingRequest("h000", 0, 4, 2.0, 2.0),))
-    book = RequestBook(scenario)
-    book.reset()
-    ids = book.ids_at(0)
-    # Skipping the first step breaks a boundary-tight request.
-    with pytest.raises(ValidationError, match="infeasible"):
-        book.check_feasible(1, ids, book.active_mask(ids))
 
 
 # --- CSV round trips --------------------------------------------------------

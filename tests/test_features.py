@@ -12,7 +12,6 @@ from gridcharge.features import (
     FEATURE_NAMES_GRID,
     FEATURE_NAMES_HOUSEHOLD,
     RollingBuffer,
-    constant_rate_kw,
     encode_time_of_day,
     feature_count,
     history_block,
@@ -85,15 +84,6 @@ def test_history_block_out_parameter_is_returned():
     buf.push(np.array([1.0, 2.0, 3.0]))
     out = np.empty((3, 5))
     assert history_block(buf, 4, out=out) is out
-
-
-def test_constant_rate_kw():
-    rem = np.array([2.0, 1.0, 0.0])
-    steps = np.array([4.0, 0.0, 5.0])
-    rates = constant_rate_kw(rem, steps, step_hours=0.25)
-    assert rates[0] == pytest.approx(2.0)   # 2 kWh over 4 quarter hours
-    assert rates[1] == pytest.approx(4.0)   # degenerate step count clamps to 1
-    assert rates[2] == 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -153,6 +153,39 @@ def test_do_nothing_controller_fails_feasibility():
         simulate(sc, Lazy(), warmup_steps=0)
 
 
+class Schedule:
+    """Stand-in controller that charges `kw` at the steps where `pick(rem_steps)`
+    holds and nothing otherwise."""
+
+    needs_features = False
+
+    def __init__(self, pick, kw):
+        self.pick = pick
+        self.kw = kw
+
+    def reset(self, n):
+        pass
+
+    def step(self, x, active, remaining, rem_steps, *rest):
+        return np.where(self.pick(rem_steps), self.kw, 0.0) * active
+
+
+def test_skipping_a_step_of_a_tight_request_is_infeasible():
+    # 2 kWh at 2 kW over four quarter hours leaves no slack at all.
+    sc = one_request_scenario(ChargingRequest("h0", 0, 4, 2.0, 2.0))
+    late = Schedule(lambda rem_steps: rem_steps < 4, 2.0)
+    with pytest.raises(SimulationIncomplete, match="h0 cannot finish its request from step 1"):
+        simulate(sc, late, warmup_steps=0)
+
+
+def test_departure_audit_flags_energy_still_owed():
+    # Feasible until the last step, where 1 kW delivers only 0.25 of 1 kWh.
+    sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
+    last_minute = Schedule(lambda rem_steps: rem_steps == 1, 1.0)
+    with pytest.raises(SimulationIncomplete, match="departing at step 4"):
+        simulate(sc, last_minute, warmup_steps=0)
+
+
 def test_non_finite_controller_output_is_an_error():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     with pytest.raises(SimulationError, match="non-finite"):
