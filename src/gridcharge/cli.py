@@ -36,7 +36,7 @@ from .controllers import (
 )
 from .domain import Scenario, SimResult
 from .errors import ConfigError, GridChargeError, SimulationError, ValidationError
-from .oracle import optimal_schedule
+from .oracle import REL_TOL as ORACLE_REL_TOL, optimal_schedule
 from .optim import (
     DEFAULT_EPSILON,
     DEFAULT_ITERATIONS,
@@ -331,15 +331,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.no_oracle:
         oracle = optimal_schedule(eval_scenario)
         if not oracle.converged:
-            log.warning("centralized optimum did not fully converge; its bound may be loose")
+            log.warning(
+                "centralized optimum did not fully converge: duality gap %.3e kW^2 is above "
+                "%g of its sum of squared load; its bound may be loose",
+                oracle.duality_gap, ORACLE_REL_TOL,
+            )
         oracle_dir = out_dir / "oracle"
         oracle_dir.mkdir(exist_ok=True)
         write_loads_out_csv(oracle.result, oracle_dir / "oracle_schedule.csv")
-        metrics = result_metrics(oracle.result)
-        metrics["converged"] = int(oracle.converged)
-        metrics["iterations"] = oracle.iterations
-        (oracle_dir / "oracle_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
         m = result_metrics(oracle.result)
+        metrics = dict(m, converged=int(oracle.converged), iterations=oracle.iterations,
+                       duality_gap=oracle.duality_gap)
+        (oracle_dir / "oracle_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
         summary_rows.append(["oracle"] + [repr(m[c]) for c in SUMMARY_COLUMNS[1:]])
         log.info("%-24s std %8.3f kW  max %8.3f kW", "oracle", m["std_kw"], m["max_kw"])
 

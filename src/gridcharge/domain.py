@@ -299,7 +299,7 @@ def load_scenario(directory: str | Path) -> Scenario:
         raise ValidationError(f"{directory} is not a dataset directory: {loads_path} missing")
 
     series: dict[str, list[float]] = {}
-    times: dict[str, list[datetime]] = {}
+    first_time: dict[str, datetime] = {}
     order: list[str] = []
     step_seconds = 900
     with open(loads_path, newline="") as f:
@@ -324,22 +324,21 @@ def load_scenario(directory: str | Path) -> Scenario:
                 raise ValidationError(f"loads.csv row {i}: negative baseline_kw {kw}")
             if hid not in series:
                 series[hid] = []
-                times[hid] = []
+                first_time[hid] = when
                 order.append(hid)
             series[hid].append(kw)
-            times[hid].append(when)
     if not order:
         raise ValidationError("loads.csv: no data rows")
 
     first = order[0]
     n_steps = len(series[first])
-    tb = Timebase(start=times[first][0], n_steps=n_steps, step_seconds=step_seconds)
+    tb = Timebase(start=first_time[first], n_steps=n_steps, step_seconds=step_seconds)
     for hid in order:
         if len(series[hid]) != n_steps:
             raise ValidationError(
                 f"loads.csv: household {hid} has {len(series[hid])} rows, expected {n_steps}"
             )
-        if times[hid][0] != tb.start:
+        if first_time[hid] != tb.start:
             raise ValidationError(f"loads.csv: household {hid} does not start at {tb.start}")
 
     requests: dict[str, list[ChargingRequest]] = {hid: [] for hid in order}

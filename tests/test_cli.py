@@ -12,7 +12,17 @@ from gridcharge.controllers import load_params, make_controller
 from gridcharge.data import load_dataset, split_scenario
 from gridcharge.optim import SMOOTHING_GRID
 
+# Seed 7: 4/1/2 charging requests in train/tune/test. Overnight requests
+# cross midnight and a split drops requests that cross its edges, so every
+# split needs at least two days to hold one.
 TINY = [
+    "--config", "households=2",
+    "--config", "train_days=3",
+    "--config", "tune_days=2",
+    "--config", "test_days=2",
+]
+# Seed 7 with 1-day tune and test splits: no request outside train.
+EMPTY_TEST = [
     "--config", "households=2",
     "--config", "train_days=2",
     "--config", "tune_days=1",
@@ -49,7 +59,7 @@ def test_gen_writes_dataset_files(dataset):
         assert (dataset / name).exists()
     scenario, splits = load_dataset(dataset)
     assert scenario.n_households == 2
-    assert scenario.timebase.n_steps == 4 * 96
+    assert scenario.timebase.n_steps == 7 * 96
     assert set(splits) == {"train", "tune", "test"}
 
 
@@ -71,7 +81,7 @@ def test_gen_respects_start_and_step(tmp_path):
     assert rc == 0
     scenario, _ = load_dataset(tmp_path / "d")
     assert scenario.timebase.step_seconds == 1800
-    assert scenario.timebase.n_steps == 4 * 48
+    assert scenario.timebase.n_steps == 7 * 48
     assert scenario.timebase.start.isoformat() == "2026-06-01T00:00:00"
 
 
@@ -147,12 +157,12 @@ def test_train_esn(dataset, tmp_path):
 
 
 def test_train_numgrad_clamps_long_window(dataset, tmp_path, caplog):
-    # the training split is 48h, shorter than the default 72h window
+    # the training split is 72h, shorter than a 96h window
     with caplog.at_level(logging.WARNING, logger="gridcharge"):
         rc = run(
             "train", "--data", dataset, "--out", tmp_path / "ng.json",
             "--optimizer", "numgrad", "--iterations", 1, "--workers", 1,
-            "--seed", 2, "--smoothing", 0.0,
+            "--seed", 2, "--smoothing", 0.0, "--window-hours", 96,
         )
     assert rc == 0
     assert any("clamping" in r.message for r in caplog.records)
@@ -175,6 +185,7 @@ def test_eval_writes_summary_and_run_dirs(dataset, trained, tmp_path):
     oracle_metrics = json.loads((out / "oracle" / "oracle_metrics.json").read_text())
     assert oracle_metrics["converged"] == 1
     assert oracle_metrics["iterations"] >= 0
+    assert isinstance(oracle_metrics["duality_gap"], float)
     stds = {r[0]: float(r[1]) for r in rows[1:]}
     for name in ("max_charge", "min_charge", "const_charge", "nn-a+cma"):
         assert stds["oracle"] <= stds[name] + 1e-9
@@ -198,10 +209,12 @@ def test_eval_unknown_split_falls_back_to_whole_scenario(dataset, tmp_path, capl
     assert any("whole scenario" in r.message for r in caplog.records)
     with open(out / "no_charge" / "loads_out.csv", newline="") as f:
         n_rows = sum(1 for _ in f) - 1
-    assert n_rows == 4 * 96
+    assert n_rows == 7 * 96
 
 
-def test_eval_warns_when_the_split_holds_no_request(dataset, tmp_path, caplog):
+def test_eval_warns_when_the_split_holds_no_request(tmp_path, caplog):
+    dataset = tmp_path / "empty-test"
+    assert run("gen", "--out", dataset, "--seed", 7, *EMPTY_TEST) == 0
     scenario, splits = load_dataset(dataset)
     assert not split_scenario(scenario, splits, "test").all_requests()
     with caplog.at_level(logging.WARNING, logger="gridcharge"):

@@ -240,3 +240,15 @@ def test_load_scenario_drops_zero_energy_requests(tmp_path):
     )
     req_path.write_text(header + "\n" + row + "\n")
     assert load_scenario(tmp_path).all_requests() == []
+
+
+def test_load_scenario_rejects_household_starting_late(tmp_path):
+    scenario = one_household(n_steps=4)
+    save_scenario(scenario, tmp_path)
+    loads = tmp_path / "loads.csv"
+    lines = loads.read_text().splitlines()
+    late = [line.replace("h000", "h001") for line in lines[2:]]
+    late.append(late[-1])  # same row count, first timestamp one step late
+    loads.write_text("\n".join(lines + late) + "\n")
+    with pytest.raises(ValidationError, match="h001 does not start at"):
+        load_scenario(tmp_path)

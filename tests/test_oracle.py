@@ -2,8 +2,11 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcharge.controllers import KIND_CONST, KIND_MAX, KIND_MIN, make_controller
+from gridcharge import oracle as oracle_module
+from gridcharge.controllers import BASELINE_KINDS, KIND_CONST, KIND_MAX, KIND_MIN, make_controller
 from gridcharge.data import synth_scenario
 from gridcharge.domain import ChargingRequest, Household, Scenario, Timebase
 from gridcharge.oracle import OracleResult, optimal_schedule, project_capped_simplex
@@ -52,6 +55,78 @@ def test_projection_ignores_padding_columns():
     x = project_capped_simplex(v, upper, np.array([4.0]))
     assert x[0, 2] == 0.0
     assert x[0].sum() == pytest.approx(4.0, abs=1e-10)
+
+
+def reference_projection(v, upper, target, rounds=200):
+    """Plain bisection on the shift, run far past rounding."""
+    lo = (v - upper).min(axis=1)
+    hi = v.max(axis=1)
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        too_big = np.clip(v - mid[:, None], 0.0, upper).sum(axis=1) > target
+        lo = np.where(too_big, mid, lo)
+        hi = np.where(too_big, hi, mid)
+    return np.clip(v - hi[:, None], 0.0, upper)
+
+
+@st.composite
+def projection_problems(draw):
+    """Random rows with padding columns, zero targets and full-capacity rows."""
+    rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([0.01, 1.0, 30.0, 1000.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(0.0, scale, (rows, width))
+    upper = rng.uniform(0.1, 8.0, (rows, width)) * (rng.random((rows, width)) > 0.3)
+    share = rng.uniform(0.0, 1.0, rows)
+    kind = rng.integers(0, 4, rows)
+    share[kind == 0] = 0.0
+    share[kind == 1] = 1.0
+    return v, upper, share * upper.sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_problems())
+def test_projection_matches_bisection_reference(problem):
+    v, upper, target = problem
+    x = project_capped_simplex(v, upper, target)
+    tol = 1e-9 * max(1.0, float(upper.sum(axis=1).max()))
+    assert np.allclose(x, reference_projection(v, upper, target), rtol=0.0, atol=tol)
+    assert np.allclose(x.sum(axis=1), target, rtol=0.0, atol=tol)
+    assert np.all(x >= 0.0) and np.all(x <= upper)
+    assert np.all(x[upper == 0.0] == 0.0)
+    assert np.all(x[target == 0.0] == 0.0)
+    full = target == upper.sum(axis=1)
+    assert np.array_equal(x[full], upper[full])
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_problems(), st.integers(0, 2**32 - 1))
+def test_projection_warm_start_matches_cold_start(problem, seed):
+    v, upper, target = problem
+    cold = project_capped_simplex(v, upper, target)
+    tau = np.random.default_rng(seed).normal(0.0, 1e3, v.shape[0])
+    warm = project_capped_simplex(v, upper, target, tau=tau)
+    tol = 1e-9 * max(1.0, float(upper.sum(axis=1).max()))
+    assert np.allclose(warm, cold, rtol=0.0, atol=tol)
+    # tau now holds the final shifts, and restarting from them changes nothing
+    again = project_capped_simplex(v, upper, target, tau=tau)
+    assert np.allclose(again, warm, rtol=0.0, atol=tol)
+
+
+def test_projection_runs_once_per_iteration(monkeypatch):
+    calls = []
+    original = oracle_module.project_capped_simplex
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "project_capped_simplex", counting)
+    sc, _, _ = synth_scenario(n_households=4, split_days=(2, 1, 1), seed=17)
+    res = optimal_schedule(sc)
+    assert res.iterations > 0
+    assert len(calls) == res.iterations
 
 
 def test_two_step_toy_solved_exactly():
@@ -111,6 +186,7 @@ def test_oracle_without_requests_returns_baseline():
     assert res.objective_std_kw == pytest.approx(float(np.std([1.0, 2.0, 3.0, 4.0])))
     assert res.converged
     assert res.iterations == 0
+    assert res.duality_gap == 0.0
 
 
 def test_oracle_beats_const_when_deferral_helps():
@@ -128,3 +204,55 @@ def test_oracle_beats_const_when_deferral_helps():
     assert oracle.objective_std_kw < const - 0.1
     # no charging lands on the two peak steps
     assert np.allclose(oracle.schedule[0, 2:4], 0.0, atol=1e-6)
+
+
+def random_scenario(n_households, days, step_seconds, seed):
+    """Random baselines and charging windows; about a quarter of the requests
+    need exactly their full capacity."""
+    rng = np.random.default_rng(seed)
+    tb = Timebase(start=MONDAY, n_steps=days * 86400 // step_seconds, step_seconds=step_seconds)
+    spd = tb.steps_per_day
+    households = []
+    for h in range(n_households):
+        hid = f"h{h}"
+        requests = []
+        t = int(rng.integers(0, spd))
+        while t < tb.n_steps:
+            depart = min(t + int(rng.integers(1, spd)), tb.n_steps)
+            max_kw = float(rng.uniform(2.0, 8.0))
+            capacity = max_kw * (depart - t) * tb.step_hours
+            energy = capacity if rng.random() < 0.25 else float(rng.uniform(0.0, 1.0)) * capacity
+            requests.append(ChargingRequest(hid, t, depart, energy, max_kw))
+            t = depart + int(rng.integers(0, spd))
+        baseline = rng.uniform(0.1, 3.0, tb.n_steps)
+        households.append(Household(hid, baseline, tuple(requests)))
+    return Scenario(timebase=tb, households=tuple(households))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_households=st.integers(1, 4),
+    days=st.integers(2, 3),
+    step_seconds=st.sampled_from([900, 1800, 3600]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_certificate_lower_bounds_every_baseline(n_households, days, step_seconds, seed):
+    """Weak duality: the whole-horizon sum of squares less the duality gap is
+    at most any feasible schedule's: every baseline's, and that of a longer
+    solver run with the stop disabled (a negative tolerance), which lies
+    nearer the optimum. The slack covers the simulator's 1e-9 kWh finishing
+    tolerance."""
+    sc = random_scenario(n_households, days, step_seconds, seed)
+    oracle = optimal_schedule(sc, warmup_steps=0)
+    assert oracle.converged
+    load = oracle.result.grid_load
+    bound = float(load @ load) - oracle.duality_gap
+    loads = {
+        kind: simulate(sc, make_controller(kind), warmup_steps=0).grid_load
+        for kind in BASELINE_KINDS
+    }
+    longer = optimal_schedule(sc, warmup_steps=0, rel_tol=-1.0, max_iterations=300)
+    loads["300 iterations"] = longer.result.grid_load
+    for name, other in loads.items():
+        sum_sq = float(other @ other)
+        assert bound <= sum_sq + 1e-9 * max(1.0, sum_sq), name
