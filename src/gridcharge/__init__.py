@@ -52,7 +52,6 @@ from .simulator import (
     load_changes,
     objective_std,
     result_metrics,
-    simulate,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +93,6 @@ __all__ = [
     "save_dataset",
     "save_params",
     "save_scenario",
-    "simulate",
     "slice_scenario",
     "split_scenario",
     "synth_scenario",

@@ -6,7 +6,9 @@ Subcommands:
   eval   compare controllers and the centralized optimum on a split
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 invalid input data,
-4 simulation failure.
+4 simulation failure. A bad value from the command line, a --config entry or
+the environment is usage (2), whichever layer rejects it; a missing or
+malformed dataset, or a malformed params file, is bad data (3).
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .optim import (
     tune_smoothing,
 )
 from .simulator import (
+    SimKernel,
     default_warmup,
     result_metrics,
-    simulate,
     write_changes_csv,
     write_loads_out_csv,
     write_metrics_json,
@@ -72,16 +74,18 @@ GEN_CONFIG_KEYS = {
 SUMMARY_COLUMNS = ["controller", "std_kw", "min_kw", "p2_5_kw", "p97_5_kw", "max_kw"]
 
 
-def default_workers() -> int:
-    raw = os.environ.get("GRIDCHARGE_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"GRIDCHARGE_WORKERS must be an integer, got {raw!r}") from None
+def default_workers(flag: int | None = None) -> int:
+    """Evaluation processes: `flag` (--workers) if given, else the
+    GRIDCHARGE_WORKERS environment variable, else 1."""
+    source, value = "--workers", flag
+    if value is None:
+        source, raw = "GRIDCHARGE_WORKERS", os.environ.get("GRIDCHARGE_WORKERS", "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"{source} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ConfigError(f"GRIDCHARGE_WORKERS must be >= 1, got {value}")
+        raise ConfigError(f"{source} must be >= 1, got {value}")
     return value
 
 
@@ -115,14 +119,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
             start = datetime.fromisoformat(cfg["start"])
         except ValueError:
             raise ConfigError(f"config key 'start': bad timestamp {cfg['start']!r}") from None
-    scenario, splits, travels = datamod.synth_scenario(
-        n_households=cfg.get("households", datamod.DEFAULT_HOUSEHOLDS),
-        split_days=split_days,
-        step_seconds=cfg.get("step_seconds", 900),
-        start=start,
-        charging_share=cfg.get("charging_share", datamod.DEFAULT_CHARGING_SHARE),
-        seed=args.seed,
-    )
+    try:
+        scenario, splits, travels = datamod.synth_scenario(
+            n_households=cfg.get("households", datamod.DEFAULT_HOUSEHOLDS),
+            split_days=split_days,
+            step_seconds=cfg.get("step_seconds", 900),
+            start=start,
+            charging_share=cfg.get("charging_share", datamod.DEFAULT_CHARGING_SHARE),
+            seed=args.seed,
+        )
+    except ValidationError as exc:
+        # Everything the generator validates came from --config.
+        raise ConfigError(str(exc)) from None
     datamod.save_dataset(args.out, scenario, splits, travels)
     share = datamod.charging_share_of(scenario)
     log.info(
@@ -201,7 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         writer = TrainLogWriter(Path(args.log), timestamps=not args.no_timestamps)
         log_fn = writer
 
-    workers = args.workers if args.workers is not None else default_workers()
+    workers = default_workers(args.workers)
     try:
         if args.optimizer == "cma":
             trained, opt = train_cma(
@@ -278,6 +286,22 @@ def _no_charge_result(scenario: Scenario) -> SimResult:
     )
 
 
+def _controller_results(
+    scenario: Scenario, params_paths: list[str]
+) -> list[tuple[str, SimResult]]:
+    """The no_charge reference, the baselines and every params file, each
+    simulated on one kernel. The kernel's tables are freed on return, before
+    the oracle allocates its own."""
+    kernel = SimKernel(scenario)
+    rows = [("no_charge", _no_charge_result(scenario))]
+    for kind in BASELINE_KINDS:
+        rows.append((kind, kernel.run(make_controller(kind))))
+    for path in params_paths:
+        params = load_params(path)
+        rows.append((params.name or Path(path).stem, kernel.run(make_controller(params))))
+    return rows
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]+", "_", name).strip("_") or "controller"
 
@@ -299,14 +323,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows: list[tuple[str, SimResult]] = [("no_charge", _no_charge_result(eval_scenario))]
-    for kind in BASELINE_KINDS:
-        rows.append((kind, simulate(eval_scenario, make_controller(kind))))
-    for path in args.params or []:
-        params = load_params(path)
-        name = params.name or Path(path).stem
-        rows.append((name, simulate(eval_scenario, make_controller(params))))
-
+    rows = _controller_results(eval_scenario, args.params or [])
     summary_rows = []
     used_names = set()
     for name, result in rows:

@@ -16,6 +16,7 @@ import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,12 @@ BASELINE_KINDS = (KIND_MAX, KIND_MIN, KIND_CONST)
 PARAMS_FORMAT_VERSION = 1
 
 INIT_SCALE = 0.1
+
+# Echo state network reservoir: input weights and biases are uniform in
+# [-RESERVOIR_INPUT_SCALE, RESERVOIR_INPUT_SCALE], and exactly
+# RESERVOIR_ZERO_TENTHS tenths of the recurrent entries are zero.
+RESERVOIR_INPUT_SCALE = 0.5
+RESERVOIR_ZERO_TENTHS = 9
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -57,6 +64,22 @@ def deadline_floor_kw(
     while there is slack."""
     slack_kwh = max_kw * (np.maximum(remaining_steps, 1.0) - 1.0) * step_hours
     return np.minimum(np.maximum(remaining_kwh - slack_kwh, 0.0) / step_hours, max_kw)
+
+
+class RequestState(NamedTuple):
+    """One step's charging-request state, one entry per household.
+
+    The simulation kernel fills it from its per-scenario request tables;
+    entries of households without an open request are zero.
+    """
+
+    active: np.ndarray           # an open request that still owes energy
+    remaining_kwh: np.ndarray    # energy still owed
+    remaining_steps: np.ndarray  # steps left before departure, this one included
+    total_steps: np.ndarray      # length of the request window in steps
+    required_kwh: np.ndarray     # energy the request asked for at arrival
+    max_kw: np.ndarray           # charger rate limit
+    step_hours: float
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +122,10 @@ class ControllerParams:
                 f"and {self.reservoir_size}"
             )
         self.theta = np.asarray(self.theta, dtype=float)
-        expected = theta_size(self)
+        expected = theta_size_for(
+            self.kind, self.input_mode, hidden_size=self.hidden_size,
+            reservoir_size=self.reservoir_size,
+        )
         if self.theta.shape != (expected,):
             raise ParameterError(
                 f"{self.kind} controller with input mode {self.input_mode!r} needs "
@@ -121,15 +147,6 @@ def theta_size_for(
     return reservoir_size + d + 1
 
 
-def theta_size(params: ControllerParams) -> int:
-    return theta_size_for(
-        params.kind,
-        params.input_mode,
-        hidden_size=params.hidden_size,
-        reservoir_size=params.reservoir_size,
-    )
-
-
 def init_params(
     kind: str,
     input_mode: str,
@@ -141,26 +158,26 @@ def init_params(
     leak_rate: float = 0.1,
     reservoir_seed: int | None = None,
 ) -> ControllerParams:
-    """Fresh controller parameters with small gaussian weights."""
-    if kind not in TRAINABLE_KINDS:
-        raise ConfigError(f"cannot initialize parameters for kind {kind!r}")
-    if hidden_size < 1 or reservoir_size < 1:
-        raise ConfigError(
-            f"hidden size and reservoir size must be >= 1, got {hidden_size} and {reservoir_size}"
-        )
+    """Fresh controller parameters with small gaussian weights.
+
+    The settings are the caller's choice, so an invalid one is a ConfigError.
+    """
     if reservoir_seed is None:
         reservoir_seed = int(rng.integers(0, 2**31 - 1))
     size = theta_size_for(kind, input_mode, hidden_size=hidden_size, reservoir_size=reservoir_size)
-    return ControllerParams(
-        kind=kind,
-        input_mode=input_mode,
-        theta=INIT_SCALE * rng.standard_normal(size),
-        smoothing=smoothing,
-        hidden_size=hidden_size,
-        reservoir_size=reservoir_size,
-        leak_rate=leak_rate,
-        reservoir_seed=reservoir_seed,
-    )
+    try:
+        return ControllerParams(
+            kind=kind,
+            input_mode=input_mode,
+            theta=INIT_SCALE * rng.standard_normal(size),
+            smoothing=smoothing,
+            hidden_size=hidden_size,
+            reservoir_size=reservoir_size,
+            leak_rate=leak_rate,
+            reservoir_seed=reservoir_seed,
+        )
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def save_params(params: ControllerParams, path: str | Path) -> None:
@@ -230,33 +247,24 @@ class ReservoirWeights:
     w_in: np.ndarray       # (size, d_in)
     b_in: np.ndarray       # (size,)
     w_recurrent: np.ndarray  # (size, size), unit spectral radius
-    seed_used: int
 
 
-def build_reservoir(
-    d_in: int,
-    size: int,
-    seed: int,
-    *,
-    input_scale: float = 0.5,
-    zero_fraction_num: int = 9,
-    zero_fraction_den: int = 10,
-) -> ReservoirWeights:
+def build_reservoir(d_in: int, size: int, seed: int) -> ReservoirWeights:
     """Deterministic fixed weights for an echo state network.
 
-    Input weights and biases are uniform in [-input_scale, input_scale]. The
-    recurrent matrix starts uniform in [-0.5, 0.5], has exactly 90% of its
-    entries zeroed, and is rescaled to unit spectral radius. The rare draw
-    whose spectral radius vanishes is retried with the next seed; the seed
-    that actually produced the weights is reported so reloads reproduce them.
+    Input weights and biases are uniform in [-RESERVOIR_INPUT_SCALE,
+    RESERVOIR_INPUT_SCALE]. The recurrent matrix starts uniform in
+    [-0.5, 0.5], has exactly 90% of its entries zeroed, and is rescaled to
+    unit spectral radius. The rare draw whose spectral radius vanishes is
+    retried with the next seed.
     """
     n_total = size * size
-    n_zero = (zero_fraction_num * n_total) // zero_fraction_den
+    n_zero = (RESERVOIR_ZERO_TENTHS * n_total) // 10
+    scale = RESERVOIR_INPUT_SCALE
     for attempt in range(32):
-        used = seed + attempt
-        rng = np.random.default_rng(used)
-        w_in = rng.uniform(-input_scale, input_scale, (size, d_in))
-        b_in = rng.uniform(-input_scale, input_scale, size)
+        rng = np.random.default_rng(seed + attempt)
+        w_in = rng.uniform(-scale, scale, (size, d_in))
+        b_in = rng.uniform(-scale, scale, size)
         w = rng.uniform(-0.5, 0.5, (size, size))
         w.flat[rng.permutation(n_total)[:n_zero]] = 0.0
         radius = float(np.max(np.abs(np.linalg.eigvals(w))))
@@ -264,7 +272,7 @@ def build_reservoir(
             w /= radius
             for arr in (w_in, b_in, w):
                 arr.setflags(write=False)
-            return ReservoirWeights(w_in=w_in, b_in=b_in, w_recurrent=w, seed_used=used)
+            return ReservoirWeights(w_in=w_in, b_in=b_in, w_recurrent=w)
     raise ParameterError(f"could not build a usable reservoir from seed {seed}")
 
 
@@ -289,10 +297,9 @@ class LearnedController:
     output forced to zero and their filter memory cleared.
     """
 
-    needs_features = True
-
     def __init__(self, params: ControllerParams):
         self.params = params
+        self.input_mode = params.input_mode
         self.d_in = feature_count(params.input_mode)
         if params.kind == KIND_ESN:
             self.reservoir = _shared_reservoir(
@@ -328,27 +335,20 @@ class LearnedController:
         readout = np.concatenate([self._state, x], axis=1)
         return sigmoid(readout @ self.w_out + self.b_out)
 
-    def step(
-        self,
-        x: np.ndarray,
-        active: np.ndarray,
-        remaining_kwh: np.ndarray,
-        remaining_steps: np.ndarray,
-        total_steps: np.ndarray,
-        required_kwh: np.ndarray,
-        max_kw: np.ndarray,
-        step_hours: float,
-    ) -> np.ndarray:
+    def step(self, x: np.ndarray, req: RequestState) -> np.ndarray:
+        """Charging speeds in kW: the policy's rates through the low-pass
+        filter, clipped to [deadline floor, rate limit]."""
         if self._last_output is None:
             raise ConfigError("controller used before reset()")
         r = self.rates(x)
+        max_kw = req.max_kw
         # The deadline floor is zero while there is slack, so the policy is
         # free to defer charging entirely.
-        floor = deadline_floor_kw(remaining_kwh, remaining_steps, max_kw, step_hours)
+        floor = deadline_floor_kw(req.remaining_kwh, req.remaining_steps, max_kw, req.step_hours)
         beta = self.params.smoothing
         blended = beta * self._last_output + (1.0 - beta) * max_kw * r
         out = np.minimum(np.maximum(blended, floor), max_kw)
-        out *= active
+        out *= req.active
         self._last_output = out
         return out
 
@@ -356,7 +356,7 @@ class LearnedController:
 class RuleController:
     """Fixed charging rules that need no features and carry no state."""
 
-    needs_features = False
+    input_mode = None
 
     def __init__(self, kind: str):
         if kind not in BASELINE_KINDS:
@@ -366,29 +366,19 @@ class RuleController:
     def reset(self, n_households: int) -> None:
         pass
 
-    def step(
-        self,
-        x: np.ndarray | None,
-        active: np.ndarray,
-        remaining_kwh: np.ndarray,
-        remaining_steps: np.ndarray,
-        total_steps: np.ndarray,
-        required_kwh: np.ndarray,
-        max_kw: np.ndarray,
-        step_hours: float,
-    ) -> np.ndarray:
+    def step(self, x: None, req: RequestState) -> np.ndarray:
+        dh = req.step_hours
         if self.kind == KIND_MAX:
             # Front-load: run at the rate limit until the request is done.
-            out = np.minimum(max_kw, remaining_kwh / step_hours)
+            out = np.minimum(req.max_kw, req.remaining_kwh / dh)
         elif self.kind == KIND_MIN:
             # Back-load: charge only what cannot be deferred to later steps.
-            out = deadline_floor_kw(remaining_kwh, remaining_steps, max_kw, step_hours)
+            out = deadline_floor_kw(req.remaining_kwh, req.remaining_steps, req.max_kw, dh)
         else:
             # Flat rate sized so the full demand lands exactly at departure.
-            total = np.maximum(total_steps, 1.0)
-            out = np.minimum(required_kwh / (total * step_hours), max_kw)
-        out = out * active
-        return out
+            total = np.maximum(req.total_steps, 1.0)
+            out = np.minimum(req.required_kwh / (total * dh), req.max_kw)
+        return out * req.active
 
 
 def make_controller(spec: str | ControllerParams) -> LearnedController | RuleController:

@@ -38,6 +38,9 @@ DEFAULT_HOUSEHOLDS = 74
 DEFAULT_SPLIT_DAYS = (15, 8, 21)  # train, tune, test
 DEFAULT_CHARGING_SHARE = 0.18
 MIN_REQUEST_KWH = 0.05
+TRAVELS_PER_DAY = 60  # trips per day of week in the synthetic travel pool
+SKIP_PROBABILITY = 0.12  # chance that a household skips charging on a travel day
+MAX_KW_RANGE = (3.0, 8.0)  # household charger rate limits are uniform in this range
 
 SPLIT_NAMES = ("train", "tune", "test")
 
@@ -69,36 +72,19 @@ def write_travels_csv(records: list[TravelRecord], path: str | Path) -> None:
             w.writerow([r.day_of_week, r.depart_s, r.return_s])
 
 
-def read_travels_csv(path: str | Path) -> list[TravelRecord]:
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["day_of_week", "depart_s", "return_s"]:
-            raise ValidationError(f"{path} row 1: expected header day_of_week,depart_s,return_s")
-        for i, row in enumerate(reader, start=2):
-            try:
-                records.append(TravelRecord(int(row[0]), int(row[1]), int(row[2])))
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path} row {i}: malformed travel record") from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path} row {i}: {exc}") from None
-    return records
-
-
-def build_travel_pool(rng: np.random.Generator, per_day: int = 60) -> list[TravelRecord]:
-    """Synthetic trip pool: commute-shaped on weekdays, later and looser on
-    weekends."""
+def build_travel_pool(rng: np.random.Generator) -> list[TravelRecord]:
+    """Synthetic trip pool of TRAVELS_PER_DAY trips per day of week:
+    commute-shaped on weekdays, later and looser on weekends."""
     records = []
     for dow in range(7):
         if dow < 5:
-            dep = rng.normal(7.7, 0.6, per_day)
-            ret = rng.normal(17.6, 0.8, per_day)
+            dep = rng.normal(7.7, 0.6, TRAVELS_PER_DAY)
+            ret = rng.normal(17.6, 0.8, TRAVELS_PER_DAY)
             dep = np.clip(dep, 5.0, 11.0)
             ret = np.clip(ret, 13.0, 23.5)
         else:
-            dep = np.clip(rng.normal(9.5, 1.0, per_day), 6.0, 13.0)
-            ret = np.clip(rng.normal(16.5, 1.5, per_day), 12.0, 23.5)
+            dep = np.clip(rng.normal(9.5, 1.0, TRAVELS_PER_DAY), 6.0, 13.0)
+            ret = np.clip(rng.normal(16.5, 1.5, TRAVELS_PER_DAY), 12.0, 23.5)
         ret = np.maximum(ret, dep + 1.5)
         for d, r in zip(dep, ret):
             records.append(
@@ -169,13 +155,13 @@ def build_requests(
     travel_pool: list[TravelRecord],
     *,
     charging_share: float = DEFAULT_CHARGING_SHARE,
-    skip_probability: float = 0.12,
-    max_kw_range: tuple[float, float] = (3.0, 8.0),
 ) -> list[list[ChargingRequest]]:
     """Overnight charging requests per household.
 
     A travel day d yields a request open from the car's return on day d to
-    its departure on day d+1. Energies are drawn from a gamma distribution
+    its departure on day d+1, unless the household skips it (probability
+    SKIP_PROBABILITY). Each household draws one rate limit from
+    MAX_KW_RANGE. Energies are drawn from a gamma distribution
     and rescaled so total charging is `charging_share` of overall consumption
     (baseline plus charging). Demands a request window cannot physically
     absorb are clamped down, with a log note.
@@ -199,9 +185,9 @@ def build_requests(
     # First pass: windows and rate limits; energies come after global scaling.
     drafts: list[tuple[int, int, int, float]] = []  # household, arrive, depart, max_kw
     for h in range(n_households):
-        max_kw = rng.uniform(*max_kw_range)
+        max_kw = rng.uniform(*MAX_KW_RANGE)
         for day in range(n_days - 1):
-            if rng.random() < skip_probability:
+            if rng.random() < SKIP_PROBABILITY:
                 continue
             dow = tb.day_of_week(day * spd)
             dow_next = tb.day_of_week((day + 1) * spd)
@@ -262,6 +248,8 @@ def synth_scenario(
         raise ConfigError(f"split_days needs three positive day counts, got {split_days}")
     if n_households < 1:
         raise ConfigError(f"n_households must be >= 1, got {n_households}")
+    if step_seconds < 1:
+        raise ConfigError(f"step_seconds must be >= 1, got {step_seconds}")
     n_days = sum(split_days)
     if start is None:
         start = datetime(2026, 3, 2)  # a Monday, so splits start week-aligned

@@ -2,10 +2,12 @@
 output-smoothing calibration.
 
 Both trainers treat the simulator as a black box mapping a flat parameter
-vector to the post-warmup standard deviation of total grid load. CMA-ES is
-self-contained here; the gradient trainer estimates descent directions by
-forward differences on short simulation windows and validates candidate
-steps on the full training scenario.
+vector to the post-warmup standard deviation of total grid load. Every
+optimizer takes that objective as one batch callable, f_batch(list of
+vectors) -> list of values, so a batch can be fanned out over processes.
+CMA-ES is self-contained here; the gradient trainer estimates descent
+directions by forward differences on short simulation windows and validates
+candidate steps on the full training scenario.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .controllers import ControllerParams, make_controller
 from .domain import Scenario
-from .errors import ConfigError, ParameterError
-from .simulator import SimKernel, default_warmup, objective_std
+from .errors import ConfigError
+from .simulator import SimKernel, objective_std
 
 STEP_SIZE_GRID = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 SMOOTHING_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
@@ -48,13 +50,22 @@ class OptResult:
 # Objective evaluation, optionally fanned out over worker processes
 # ---------------------------------------------------------------------------
 
+# A batch objective: one value per parameter vector.
+BatchObjective = Callable[[list[np.ndarray]], list[float]]
+
 # (parameter vector, start step, end step, warmup steps) of one simulation.
 Task = tuple[np.ndarray, int, int | None, int | None]
 
 
-def _evaluate(kernel: SimKernel, template: ControllerParams, task: Task) -> float:
-    theta, start, end, warmup = task
-    controller = make_controller(template.with_theta(theta))
+def _evaluate(
+    kernel: SimKernel,
+    params: ControllerParams,
+    start: int = 0,
+    end: int | None = None,
+    warmup: int | None = None,
+) -> float:
+    """The training objective of one controller on steps [start, end)."""
+    controller = make_controller(params)
     result = kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
     return objective_std(result)
 
@@ -69,22 +80,22 @@ def _worker_init(scenario: Scenario, template: ControllerParams) -> None:
 
 def _worker_eval(task: Task) -> float:
     assert _WORKER_CTX is not None
-    return _evaluate(*_WORKER_CTX, task)
+    kernel, template = _WORKER_CTX
+    theta, start, end, warmup = task
+    return _evaluate(kernel, template.with_theta(theta), start, end, warmup)
 
 
 class Evaluator:
-    """Objective for one scenario and controller family.
+    """Batch objectives for one scenario and controller family.
 
-    Callable on a single parameter vector; `map_full` and `map_window` batch
-    many vectors, across processes when `workers` > 1. Use as a context
+    `map_full` scores parameter vectors on the whole scenario, `map_window`
+    on a window of it, across processes when `workers` > 1. Use as a context
     manager so the pool is torn down.
     """
 
     def __init__(self, scenario: Scenario, template: ControllerParams, *, workers: int = 1):
-        self.scenario = scenario
         self.template = template
         self.kernel = SimKernel(scenario)
-        self.warmup = default_warmup(scenario.timebase)
         self._pool: ProcessPoolExecutor | None = None
         if workers > 1:
             self._pool = ProcessPoolExecutor(
@@ -104,25 +115,23 @@ class Evaluator:
             self._pool.shutdown()
             self._pool = None
 
-    def _map(self, tasks: list[Task]) -> list[float]:
+    def _map(
+        self, thetas: Sequence[np.ndarray], start: int, end: int | None, warmup: int | None
+    ) -> list[float]:
         if self._pool is None:
-            return [_evaluate(self.kernel, self.template, t) for t in tasks]
-        return list(self._pool.map(_worker_eval, tasks))
-
-    def __call__(self, theta: np.ndarray) -> float:
-        task = (np.asarray(theta, dtype=float), 0, None, self.warmup)
-        return _evaluate(self.kernel, self.template, task)
+            return [
+                _evaluate(self.kernel, self.template.with_theta(t), start, end, warmup)
+                for t in thetas
+            ]
+        return list(self._pool.map(_worker_eval, [(t, start, end, warmup) for t in thetas]))
 
     def map_full(self, thetas: Sequence[np.ndarray]) -> list[float]:
-        return self._map([(np.asarray(t, dtype=float), 0, None, self.warmup) for t in thetas])
+        return self._map(thetas, 0, None, None)
 
     def map_window(
         self, thetas: Sequence[np.ndarray], start: int, window_steps: int, objective_steps: int
     ) -> list[float]:
-        warmup = window_steps - objective_steps
-        return self._map(
-            [(np.asarray(t, dtype=float), start, start + window_steps, warmup) for t in thetas]
-        )
+        return self._map(thetas, start, start + window_steps, window_steps - objective_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +153,8 @@ class CmaEs:
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim != 1 or x0.size < 1:
             raise ConfigError("x0 must be a non-empty 1-d vector")
-        if sigma0 <= 0:
-            raise ConfigError(f"sigma0 must be > 0, got {sigma0}")
+        if not 0 < sigma0 < math.inf:
+            raise ConfigError(f"sigma0 must be finite and > 0, got {sigma0}")
         n = x0.size
         self.n = n
         self.lam = popsize if popsize is not None else 4 + int(3 * math.log(n))
@@ -235,31 +244,32 @@ class CmaEs:
 
 
 def cmaes_minimize(
-    objective: Callable[[np.ndarray], float],
+    f_batch: BatchObjective,
     x0: np.ndarray,
     *,
     sigma0: float = DEFAULT_SIGMA0,
     iterations: int = DEFAULT_ITERATIONS,
     popsize: int = DEFAULT_POPSIZE,
     seed: int | None = None,
-    map_batch: Callable[[list[np.ndarray]], list[float]] | None = None,
     log_fn: Callable[[dict], None] | None = None,
 ) -> OptResult:
     """Run CMA-ES for a fixed number of generations, keeping the best ever.
 
-    The starting point is evaluated first so a run can never return something
-    worse than what it was given.
+    Each generation is scored in one `f_batch` call. The starting point is
+    evaluated first so a run can never return something worse than what it
+    was given.
     """
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
     x0 = np.asarray(x0, dtype=float)
-    batch = map_batch if map_batch is not None else lambda xs: [objective(x) for x in xs]
     es = CmaEs(x0, sigma0, popsize=popsize, seed=seed)
-    f0 = float(batch([x0])[0])
+    f0 = float(f_batch([x0])[0])
     best_x, best_f = x0.copy(), f0 if math.isfinite(f0) else math.inf
     history = [best_f]
     evaluations = 1
     for it in range(iterations):
         xs = es.ask()
-        fs = batch(list(xs))
+        fs = f_batch(list(xs))
         es.tell(xs, fs)
         evaluations += es.lam
         if es.best_f < best_f:
@@ -287,7 +297,7 @@ def cmaes_minimize(
 
 
 def finite_difference_gradient(
-    f_batch: Callable[[list[np.ndarray]], list[float]],
+    f_batch: BatchObjective,
     x: np.ndarray,
     epsilon: float,
 ) -> tuple[np.ndarray, float]:
@@ -304,22 +314,25 @@ def _perturb(x: np.ndarray, i: int, epsilon: float) -> np.ndarray:
 
 
 def minimize_numgrad(
-    eval_full: Callable[[list[np.ndarray]], list[float]],
-    make_window_eval: Callable[[], Callable[[list[np.ndarray]], list[float]]],
+    eval_full: BatchObjective,
+    make_window_eval: Callable[[], BatchObjective],
     x0: np.ndarray,
     *,
     iterations: int = DEFAULT_ITERATIONS,
     epsilon: float = DEFAULT_EPSILON,
-    step_sizes: Sequence[float] = STEP_SIZE_GRID,
     log_fn: Callable[[dict], None] | None = None,
 ) -> OptResult:
     """Gradient descent with per-iteration step-size probing.
 
     Each iteration estimates a gradient on a freshly drawn evaluation window,
-    tries every step size on the full objective, takes the best one if it
-    improves, and otherwise stays put. Rejected steps still count as an
-    iteration; progress is monotone by construction.
+    tries every step size of STEP_SIZE_GRID on the full objective, takes the
+    best one if it improves, and otherwise stays put. Rejected steps still
+    count as an iteration; progress is monotone by construction.
     """
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
+    if not 0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
     x = np.asarray(x0, dtype=float).copy()
     f_cur = float(eval_full([x])[0])
     history = [f_cur]
@@ -330,14 +343,14 @@ def minimize_numgrad(
         evaluations += x.size + 1
         chosen = None
         if np.any(grad != 0.0) and np.all(np.isfinite(grad)):
-            candidates = [x - lam * grad for lam in step_sizes]
+            candidates = [x - lam * grad for lam in STEP_SIZE_GRID]
             fs = np.asarray(eval_full(candidates), dtype=float)
             evaluations += len(candidates)
             k = int(np.argmin(fs))
             if fs[k] < f_cur:
                 x = candidates[k]
                 f_cur = float(fs[k])
-                chosen = step_sizes[k]
+                chosen = STEP_SIZE_GRID[k]
         history.append(f_cur)
         if log_fn is not None:
             log_fn(
@@ -370,13 +383,12 @@ def train_cma(
 ) -> tuple[ControllerParams, OptResult]:
     with Evaluator(scenario, params0, workers=workers) as ev:
         result = cmaes_minimize(
-            ev,
+            ev.map_full,
             params0.theta,
             sigma0=sigma0,
             iterations=iterations,
             popsize=popsize,
             seed=seed,
-            map_batch=ev.map_full,
             log_fn=log_fn,
         )
     trained = replace(params0.with_theta(result.x), trained_with="cma")
@@ -384,16 +396,21 @@ def train_cma(
 
 
 def window_steps_for(scenario: Scenario, window_hours: float, objective_hours: float) -> tuple[int, int]:
+    if not (math.isfinite(window_hours) and math.isfinite(objective_hours)):
+        raise ConfigError(
+            f"evaluation window ({window_hours}h) and its scored part ({objective_hours}h) "
+            f"must be finite"
+        )
     tb = scenario.timebase
     window = int(round(window_hours * 3600 / tb.step_seconds))
     objective = int(round(objective_hours * 3600 / tb.step_seconds))
     if objective < 1 or window <= objective:
-        raise ParameterError(
+        raise ConfigError(
             f"evaluation window ({window_hours}h) must exceed its scored part "
             f"({objective_hours}h)"
         )
     if window > tb.n_steps:
-        raise ParameterError(
+        raise ConfigError(
             f"evaluation window of {window} steps does not fit a {tb.n_steps}-step scenario"
         )
     return window, objective
@@ -407,7 +424,6 @@ def train_numgrad(
     epsilon: float = DEFAULT_EPSILON,
     window_hours: float = DEFAULT_WINDOW_HOURS,
     objective_hours: float = DEFAULT_OBJECTIVE_HOURS,
-    step_sizes: Sequence[float] = STEP_SIZE_GRID,
     seed: int | None = None,
     workers: int = 1,
     log_fn: Callable[[dict], None] | None = None,
@@ -417,7 +433,7 @@ def train_numgrad(
     tb = scenario.timebase
     with Evaluator(scenario, params0, workers=workers) as ev:
 
-        def make_window_eval() -> Callable[[list[np.ndarray]], list[float]]:
+        def make_window_eval() -> BatchObjective:
             start = int(rng.integers(0, tb.n_steps - window + 1))
             return lambda thetas: ev.map_window(thetas, start, window, objective)
 
@@ -427,7 +443,6 @@ def train_numgrad(
             params0.theta,
             iterations=iterations,
             epsilon=epsilon,
-            step_sizes=step_sizes,
             log_fn=log_fn,
         )
     trained = replace(params0.with_theta(result.x), trained_with="numgrad")
@@ -435,20 +450,18 @@ def train_numgrad(
 
 
 def tune_smoothing(
-    scenario: Scenario,
-    params: ControllerParams,
-    *,
-    grid: Sequence[float] = SMOOTHING_GRID,
+    scenario: Scenario, params: ControllerParams
 ) -> tuple[ControllerParams, list[tuple[float, float]]]:
-    """Pick the output smoothing weight by full simulations on `scenario`.
+    """Pick the output smoothing weight of SMOOTHING_GRID by full simulations
+    on `scenario`.
 
     Returns the re-tuned parameters and the (smoothing, objective) table.
     Ties go to the smaller weight.
     """
     kernel = SimKernel(scenario)
-    table = []
-    for beta in grid:
-        controller = make_controller(replace(params, smoothing=float(beta)))
-        table.append((float(beta), objective_std(kernel.run(controller))))
+    table = [
+        (float(beta), _evaluate(kernel, replace(params, smoothing=float(beta))))
+        for beta in SMOOTHING_GRID
+    ]
     best_beta = min(table, key=lambda row: (row[1], row[0]))[0]
     return replace(params, smoothing=best_beta), table

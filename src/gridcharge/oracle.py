@@ -21,7 +21,7 @@ no controller's, has a whole-horizon sum of squares below the oracle's minus
 `duality_gap`. `converged` means duality_gap <= rel_tol * max(1, f(x)).
 
 What is certified is the whole-horizon sum of squares, not the post-warmup
-spread `objective_std_kw` that is reported like every other result: the
+spread `objective_std(result)` that is reported like every other result: the
 minimizer of the one need not minimize the other, and on short splits a
 causal controller can score below the oracle's spread.
 """
@@ -34,19 +34,20 @@ import numpy as np
 
 from .domain import Scenario, SimResult, Timebase
 from .errors import SimulationError
-from .simulator import default_warmup, objective_std
+from .simulator import default_warmup
 
 REL_TOL = 1e-9  # converged: duality gap at most REL_TOL * max(1, objective)
 ROW_SUM_RTOL = 1e-12  # a projected row matches its target to this share of its cap
+CHECK_EVERY = 10  # iterations between duality-gap checks
+PROJECTION_ROUNDS = 60  # cap on a projection's Newton/bisection iterations per row
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimal joint schedule and the simulated result it produces."""
+    """Optimal joint schedule and its certificate. The schedule, in kW, is
+    `result.per_household_charging`."""
 
-    schedule: np.ndarray  # (households, n_steps) charging kW
     result: SimResult
-    objective_std_kw: float
     converged: bool
     iterations: int
     # Upper bound on (sum of squared total load) - (its minimum), in kW^2.
@@ -59,7 +60,6 @@ def project_capped_simplex(
     target: np.ndarray,
     *,
     tau: np.ndarray | None = None,
-    rounds: int = 60,
 ) -> np.ndarray:
     """Row-wise Euclidean projection onto {x : 0 <= x <= upper, sum(x) = target}.
 
@@ -68,8 +68,8 @@ def project_capped_simplex(
     in tau. Each row runs a safeguarded Newton iteration on tau inside the
     bracket [min(v - upper), max(v)]: the step tau + (sum - target) / #free,
     or the bracket's midpoint when that step leaves the bracket or no entry
-    is free. A row stops once its sum matches target to rounding; `rounds`
-    caps the iterations.
+    is free. A row stops once its sum matches target to rounding;
+    PROJECTION_ROUNDS caps the iterations.
 
     `tau`, when given, holds one starting shift per row and is overwritten
     with the final shifts, so that a run of nearby projections can warm-start
@@ -89,7 +89,7 @@ def project_capped_simplex(
     rows = np.flatnonzero(~(empty | full))
     va, ua, ta, lo, hi, sh = v[rows], upper[rows], target[rows], lo[rows], hi[rows], shift[rows]
     tol = ROW_SUM_RTOL * cap[rows]
-    for _ in range(rounds):
+    for _ in range(PROJECTION_ROUNDS):
         if rows.size == 0:
             break
         d = va - sh[:, None]
@@ -138,13 +138,12 @@ def optimal_schedule(
     warmup_steps: int | None = None,
     max_iterations: int = 200_000,
     rel_tol: float = REL_TOL,
-    check_every: int = 10,
 ) -> OracleResult:
     """Jointly optimal charging schedule for a whole scenario.
 
     Minimizes the sum of squared total loads over all steps; the reported
     spread (like every other result in the toolkit) is computed after
-    warmup. Every `check_every` iterations the duality gap is computed, and
+    warmup. Every CHECK_EVERY iterations the duality gap is computed, and
     the solver stops as converged once it is at most `rel_tol * max(1, f)`.
     """
     tb = scenario.timebase
@@ -161,21 +160,13 @@ def optimal_schedule(
     n_house = scenario.n_households
 
     if n_req == 0:
-        schedule = np.zeros((n_house, n_steps))
         result = SimResult(
             timebase=tb,
             grid_load=base_total.copy(),
-            per_household_charging=schedule,
+            per_household_charging=np.zeros((n_house, n_steps)),
             warmup_steps=warmup_steps,
         )
-        return OracleResult(
-            schedule=schedule,
-            result=result,
-            objective_std_kw=objective_std(result),
-            converged=True,
-            iterations=0,
-            duality_gap=0.0,
-        )
+        return OracleResult(result=result, converged=True, iterations=0, duality_gap=0.0)
 
     lengths = np.array([r.total_steps for r in requests])
     width = int(lengths.max())
@@ -232,7 +223,7 @@ def optimal_schedule(
         y = x_new + beta * (x_new - x)
         y_load = load_new + beta * (load_new - load)
         x, load, f, t = x_new, load_new, f_new, t_next
-        if iterations % check_every == 0 or iterations == max_iterations:
+        if iterations % CHECK_EVERY == 0 or iterations == max_iterations:
             gap = duality_gap()
             converged = gap <= rel_tol * max(1.0, f)
 
@@ -254,11 +245,4 @@ def optimal_schedule(
         per_household_charging=schedule,
         warmup_steps=warmup_steps,
     )
-    return OracleResult(
-        schedule=schedule,
-        result=result,
-        objective_std_kw=objective_std(result),
-        converged=converged,
-        iterations=iterations,
-        duality_gap=gap,
-    )
+    return OracleResult(result=result, converged=converged, iterations=iterations, duality_gap=gap)

@@ -10,7 +10,16 @@ The kernel is deliberately table-driven: everything about a request that does
 not depend on charging decisions (who is plugged in when, rate limits,
 deadline headroom) is precomputed per scenario as (step, household) arrays,
 because training evaluates thousands of candidate controllers on the same
-scenario and the per-step Python cost dominates.
+scenario and the per-step Python cost dominates. Build one `SimKernel` per
+scenario and call `run` once per controller.
+
+Controller contract, as `SimKernel.run` uses it:
+  input_mode     the feature mode ("h" or "a") the controller reads, or None
+                 for one that reads no features
+  reset(n)       called once at the start of a run, with the household count
+  step(x, req)   called every step with the (households, features) matrix
+                 (None when input_mode is None) and the step's RequestState;
+                 returns the commanded charging speed per household in kW
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controllers import LearnedController, RuleController
+from .controllers import LearnedController, RequestState, RuleController
 from .domain import (
     ENERGY_TOL_KWH,
     FINISH_TOL_KWH,
@@ -153,12 +162,13 @@ class SimKernel:
         inv_dh = 1.0 / dh
         controller.reset(n_house)
 
-        grid_mode = controller.needs_features and controller.params.input_mode == INPUT_ALL
+        needs_features = controller.input_mode is not None
+        grid_mode = controller.input_mode == INPUT_ALL
         x = None
         buf = None
         hist = None
         obs = None
-        if controller.needs_features:
+        if needs_features:
             steps_per_hour = tb.steps_per_hour
             width = N_LOCAL_FEATURES + (5 if grid_mode else 0)
             x = np.zeros((n_house, width))
@@ -188,7 +198,7 @@ class SimKernel:
                     f"its request from step {t}: {remaining[h]:.6f} kWh owed"
                 )
 
-            if controller.needs_features:
+            if needs_features:
                 np.add(self.base[:, t], delivered, out=obs[:n_house])
                 if grid_mode:
                     obs[n_house] = obs[:n_house].sum()
@@ -205,16 +215,11 @@ class SimKernel:
                 if grid_mode:
                     x[:, 12:17] = hist[n_house]
 
-            speeds = controller.step(
-                x,
-                active,
-                remaining,
-                self.rem_steps[t],
-                self.total_steps[t],
-                self.required[t],
-                self.max_kw[t],
-                dh,
+            req = RequestState(
+                active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
+                self.max_kw[t], dh,
             )
+            speeds = controller.step(x, req)
             delivered = np.minimum(speeds, np.maximum(remaining, 0.0) * inv_dh)
 
             i = t - start_step
@@ -236,20 +241,6 @@ class SimKernel:
             per_household_charging=charging,
             warmup_steps=warmup_steps,
         )
-
-
-def simulate(
-    scenario: Scenario,
-    controller: Controller,
-    *,
-    start_step: int = 0,
-    end_step: int | None = None,
-    warmup_steps: int | None = None,
-) -> SimResult:
-    """One-shot convenience wrapper around SimKernel."""
-    return SimKernel(scenario).run(
-        controller, start_step=start_step, end_step=end_step, warmup_steps=warmup_steps
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +306,6 @@ def write_changes_csv(result: SimResult, path: str | Path) -> None:
 
 __all__ = [
     "SimKernel",
-    "simulate",
     "objective_std",
     "load_changes",
     "result_metrics",

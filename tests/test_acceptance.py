@@ -33,7 +33,7 @@ from gridcharge.domain import (
 from gridcharge.features import feature_count
 from gridcharge.optim import cmaes_minimize, minimize_numgrad, train_cma, tune_smoothing
 from gridcharge.oracle import optimal_schedule
-from gridcharge.simulator import SimKernel, default_warmup, objective_std, simulate
+from gridcharge.simulator import SimKernel, default_warmup, objective_std
 
 ACCEPTANCE_SEED = 11
 REDUCED_SCALE_SEED = 21
@@ -69,7 +69,7 @@ def reduced_scale_training():
     train = split_scenario(scenario, splits, "train")
     tune = split_scenario(scenario, splits, "tune")
     test = split_scenario(scenario, splits, "test")
-    const_test = objective_std(simulate(test, make_controller(KIND_CONST)))
+    const_test = objective_std(SimKernel(test).run(make_controller(KIND_CONST)))
     t0 = time.monotonic()
     runs = []
     for seed in TRAINING_SEEDS:
@@ -79,7 +79,7 @@ def reduced_scale_training():
             train, params0, iterations=50, popsize=8, sigma0=0.3, workers=4, seed=seed
         )
         tuned, _ = tune_smoothing(tune, trained)
-        test_std = objective_std(simulate(test, make_controller(tuned)))
+        test_std = objective_std(SimKernel(test).run(make_controller(tuned)))
         runs.append({"seed": seed, "params": tuned, "test_std": test_std})
     return {
         "runs": runs,
@@ -180,14 +180,15 @@ def test_criterion_4_oracle_lower_bound(
 ):
     scenario, _ = acceptance
     oracle = optimal_schedule(scenario)
+    oracle_std = objective_std(oracle.result)
     stds = dict(acceptance_baselines)
     stds["trained (reduced scale)"] = objective_std(
-        simulate(scenario, make_controller(median_trained_params(reduced_scale_training)))
+        SimKernel(scenario).run(make_controller(median_trained_params(reduced_scale_training)))
     )
     stds["trained (full budget)"] = objective_std(
-        simulate(scenario, make_controller(acceptance_trained))
+        SimKernel(scenario).run(make_controller(acceptance_trained))
     )
-    gaps = {name: std - oracle.objective_std_kw for name, std in stds.items()}
+    gaps = {name: std - oracle_std for name, std in stds.items()}
     bound_holds = oracle.converged and all(g >= -1e-6 for g in gaps.values())
 
     # Hand-checked two-step problem: baseline [0, 10] kW and a 2.5 kWh request
@@ -213,15 +214,16 @@ def test_criterion_4_oracle_lower_bound(
     )
     toy_oracle = optimal_schedule(toy)
     toy_exact = (
-        float(np.abs(toy_oracle.schedule - np.array([[10.0, 0.0]])).max()) <= 1e-6
-        and toy_oracle.objective_std_kw <= 1e-6
+        float(np.abs(toy_oracle.result.per_household_charging - np.array([[10.0, 0.0]])).max())
+        <= 1e-6
+        and objective_std(toy_oracle.result) <= 1e-6
     )
 
     worst = min(gaps, key=gaps.get)
     report(
         "criterion 4",
         bound_holds and toy_exact,
-        f"oracle std {oracle.objective_std_kw:.3f} below every controller "
+        f"oracle std {oracle_std:.3f} below every controller "
         f"(tightest: {worst} +{gaps[worst]:.3f}); two-step toy exact to 1e-6",
     )
 
@@ -230,7 +232,7 @@ def test_criterion_5_peak_preservation(acceptance, acceptance_trained):
     scenario, _ = acceptance
     warmup = default_warmup(scenario.timebase)
     no_charge_max = float(scenario.baseline_matrix().sum(axis=0)[warmup:].max())
-    result = simulate(scenario, make_controller(acceptance_trained))
+    result = SimKernel(scenario).run(make_controller(acceptance_trained))
     trained_max = float(result.grid_load[warmup:].max())
     report(
         "criterion 5",
@@ -279,7 +281,8 @@ def test_criterion_7_optimizer_sanity():
     for seed in range(20):
         x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 10)
         res = cmaes_minimize(
-            sphere, x0, sigma0=0.5, iterations=250, popsize=10, seed=seed
+            lambda points: [sphere(p) for p in points],
+            x0, sigma0=0.5, iterations=250, popsize=10, seed=seed,
         )
         if not res.fitness < 1e-8:
             failures.append((seed, res.fitness))

@@ -267,6 +267,40 @@ def test_malformed_params_file_exits_3(dataset, tmp_path):
     assert rc == 3
 
 
+# Bad values given on the command line are usage errors, whichever layer
+# rejects them.
+USAGE_ERRORS = {
+    "smoothing-above-1": ["train", "--smoothing", 2.0],
+    "leak-rate-0": ["train", "--leak-rate", 0],
+    "negative-iterations": ["train", "--iterations", -1],
+    "workers-flag-0": ["train", "--workers", 0],
+    "negative-window": ["train", "--optimizer", "numgrad", "--window-hours", -5],
+    "epsilon-0": ["train", "--optimizer", "numgrad", "--epsilon", 0],
+    "epsilon-inf": ["train", "--optimizer", "numgrad", "--epsilon", "inf"],
+    "sigma0-nan": ["train", "--sigma0", "nan"],
+    "window-nan": ["train", "--optimizer", "numgrad", "--window-hours", "nan"],
+    "step-not-dividing-a-day": ["gen", "--config", "step_seconds=7"],
+    "step-0": ["gen", "--config", "step_seconds=0"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_2(dataset, tmp_path, argv):
+    command, *flags = argv
+    out = tmp_path / "out"
+    if command == "gen":
+        rc = run("gen", "--out", out, *flags)
+    else:
+        # argparse keeps the last value of a repeated flag, so `flags` override
+        # the small budget before them.
+        rc = run(
+            "train", "--data", dataset, "--out", out,
+            "--iterations", 1, "--popsize", 4, "--workers", 1, *flags,
+        )
+    assert rc == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--hidden-size", "--reservoir-size"])
 def test_train_rejects_empty_network_exits_2(dataset, tmp_path, flag):
     rc = run(

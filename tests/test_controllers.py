@@ -14,6 +14,7 @@ from gridcharge.controllers import (
     KIND_NN,
     ControllerParams,
     LearnedController,
+    RequestState,
     RuleController,
     build_reservoir,
     init_params,
@@ -22,7 +23,6 @@ from gridcharge.controllers import (
     relu,
     save_params,
     sigmoid,
-    theta_size,
     theta_size_for,
 )
 from gridcharge.errors import ConfigError, ParameterError
@@ -60,7 +60,7 @@ def test_theta_sizes(kind, mode, expected):
 def test_theta_size_matches_params():
     rng = np.random.default_rng(0)
     p = init_params(KIND_ESN, "a", rng, reservoir_size=30)
-    assert theta_size(p) == 30 + 17 + 1
+    assert theta_size_for(KIND_ESN, "a", reservoir_size=30) == 30 + 17 + 1
     assert p.theta.shape == (48,)
 
 
@@ -201,7 +201,6 @@ def test_reservoir_deterministic():
     assert np.array_equal(a.w_recurrent, b.w_recurrent)
     assert np.array_equal(a.w_in, b.w_in)
     assert np.array_equal(a.b_in, b.b_in)
-    assert a.seed_used == b.seed_used == 42
 
 
 def test_reservoir_weights_are_read_only():
@@ -239,13 +238,15 @@ def _step_once(theta, remaining, rem_steps, max_kw=6.0):
     ctl.reset(1)
     out = ctl.step(
         np.zeros((1, 12)),
-        np.ones(1),
-        np.array([remaining]),
-        np.array([rem_steps]),
-        np.array([8.0]),
-        np.array([remaining]),
-        np.array([max_kw]),
-        0.25,
+        RequestState(
+            np.ones(1),
+            np.array([remaining]),
+            np.array([rem_steps]),
+            np.array([8.0]),
+            np.array([remaining]),
+            np.array([max_kw]),
+            0.25,
+        ),
     )
     return float(out[0])
 
@@ -281,12 +282,12 @@ def test_step_zeroes_inactive_households_and_their_memory():
         max_kw=np.array([5.0, 5.0]),
         step_hours=0.25,
     )
-    out1 = ctl.step(x, np.array([1.0, 0.0]), **args)
+    out1 = ctl.step(x, RequestState(np.array([1.0, 0.0]), **args))
     assert out1[1] == 0.0
     assert ctl._last_output[1] == 0.0
     # household 1 goes active: its filter memory starts from zero, so the two
     # households see different smoothing history
-    out2 = ctl.step(x, np.array([1.0, 1.0]), **args)
+    out2 = ctl.step(x, RequestState(np.array([1.0, 1.0]), **args))
     assert out2[0] > out2[1]
 
 
@@ -295,13 +296,15 @@ def test_step_before_reset_raises():
     with pytest.raises(ConfigError, match="reset"):
         ctl.step(
             np.zeros((1, 12)),
-            np.ones(1),
-            np.array([1.0]),
-            np.array([4.0]),
-            np.array([4.0]),
-            np.array([1.0]),
-            np.array([3.0]),
-            0.25,
+            RequestState(
+                np.ones(1),
+                np.array([1.0]),
+                np.array([4.0]),
+                np.array([4.0]),
+                np.array([1.0]),
+                np.array([3.0]),
+                0.25,
+            ),
         )
 
 
@@ -317,13 +320,15 @@ def test_full_smoothing_ignores_the_policy():
         ctl.reset(3)
         out = ctl.step(
             x,
-            np.ones(3),
-            np.array([3.0, 1.0, 0.5]),
-            np.array([6.0, 2.0, 1.0]),
-            np.array([8.0, 8.0, 8.0]),
-            np.array([3.0, 1.0, 0.5]),
-            np.array([7.0, 7.0, 7.0]),
-            0.25,
+            RequestState(
+                np.ones(3),
+                np.array([3.0, 1.0, 0.5]),
+                np.array([6.0, 2.0, 1.0]),
+                np.array([8.0, 8.0, 8.0]),
+                np.array([3.0, 1.0, 0.5]),
+                np.array([7.0, 7.0, 7.0]),
+                0.25,
+            ),
         )
         outs.append(out)
     assert np.array_equal(outs[0], outs[1])
@@ -370,13 +375,15 @@ def _rule_step(kind, remaining, steps, total, required, max_kw, active=1.0):
     ctl.reset(1)
     out = ctl.step(
         None,
-        np.array([active]),
-        np.array([remaining]),
-        np.array([steps]),
-        np.array([total]),
-        np.array([required]),
-        np.array([max_kw]),
-        0.25,
+        RequestState(
+            np.array([active]),
+            np.array([remaining]),
+            np.array([steps]),
+            np.array([total]),
+            np.array([required]),
+            np.array([max_kw]),
+            0.25,
+        ),
     )
     return float(out[0])
 
@@ -428,13 +435,15 @@ def test_learned_output_always_within_bounds(rate_bias, remaining, steps, max_kw
     ctl.reset(1)
     out = ctl.step(
         np.zeros((1, 12)),
-        np.ones(1),
-        np.array([remaining]),
-        np.array([float(steps)]),
-        np.array([float(steps)]),
-        np.array([max(remaining, 1e-9)]),
-        np.array([max_kw]),
-        0.25,
+        RequestState(
+            np.ones(1),
+            np.array([remaining]),
+            np.array([float(steps)]),
+            np.array([float(steps)]),
+            np.array([max(remaining, 1e-9)]),
+            np.array([max_kw]),
+            0.25,
+        ),
     )
     floor = min(max(remaining - max_kw * (steps - 1) * 0.25, 0.0) / 0.25, max_kw)
     assert out[0] <= max_kw + 1e-12

@@ -1,3 +1,4 @@
+import csv
 from datetime import datetime
 
 import numpy as np
@@ -13,13 +14,11 @@ from gridcharge.data import (
     charging_share_of,
     load_dataset,
     read_splits_json,
-    read_travels_csv,
     save_dataset,
     split_scenario,
     synth_baselines,
     synth_scenario,
     write_splits_json,
-    write_travels_csv,
 )
 from gridcharge.domain import Timebase
 from gridcharge.errors import ConfigError, ValidationError
@@ -50,23 +49,6 @@ def test_travel_pool_covers_every_weekday():
     # weekday commutes leave within the clipped morning band
     for r in by_dow[0]:
         assert 5 * 3600 <= r.depart_s <= 11 * 3600
-
-
-def test_travels_csv_round_trip(tmp_path):
-    pool = build_travel_pool(np.random.default_rng(1), per_day=5)
-    path = tmp_path / "travels.csv"
-    write_travels_csv(pool, path)
-    assert read_travels_csv(path) == pool
-
-
-def test_travels_csv_rejects_bad_rows(tmp_path):
-    path = tmp_path / "travels.csv"
-    path.write_text("day_of_week,depart_s,return_s\n1,oops,300\n")
-    with pytest.raises(ValidationError, match="row 2"):
-        read_travels_csv(path)
-    path.write_text("wrong,header\n")
-    with pytest.raises(ValidationError, match="header"):
-        read_travels_csv(path)
 
 
 def test_baselines_shape_and_positivity():
@@ -174,7 +156,10 @@ def test_dataset_directory_round_trip(tmp_path):
     assert loaded_splits == splits
     assert np.array_equal(loaded.baseline_matrix(), sc.baseline_matrix())
     assert list(loaded.all_requests()) == list(sc.all_requests())
-    assert read_travels_csv(tmp_path / "ds" / "travels.csv") == pool
+    with open(tmp_path / "ds" / "travels.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["day_of_week", "depart_s", "return_s"]
+    assert [TravelRecord(*map(int, row)) for row in rows[1:]] == pool
 
 
 def test_load_dataset_without_splits_file(tmp_path):

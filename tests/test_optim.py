@@ -3,7 +3,7 @@ import pytest
 
 from gridcharge.controllers import KIND_NN, init_params
 from gridcharge.data import synth_scenario, split_scenario
-from gridcharge.errors import ConfigError, ParameterError
+from gridcharge.errors import ConfigError
 from gridcharge.optim import (
     SMOOTHING_GRID,
     CmaEs,
@@ -22,8 +22,13 @@ def sphere(x):
     return float(np.dot(x, x))
 
 
+def batch_of(f):
+    """The batch objective that scores each point with `f`."""
+    return lambda points: [f(p) for p in points]
+
+
 def test_cmaes_solves_a_small_sphere():
-    res = cmaes_minimize(sphere, np.full(5, 2.0), sigma0=0.5, iterations=200, seed=1)
+    res = cmaes_minimize(batch_of(sphere), np.full(5, 2.0), sigma0=0.5, iterations=200, seed=1)
     assert res.fitness < 1e-8
 
 
@@ -33,12 +38,12 @@ def test_cmaes_handles_bad_conditioning():
     def f(x):
         return float(np.sum(scales * x * x))
 
-    res = cmaes_minimize(f, np.array([1.5, -1.0]), sigma0=0.5, iterations=200, seed=0)
+    res = cmaes_minimize(batch_of(f), np.array([1.5, -1.0]), sigma0=0.5, iterations=200, seed=0)
     assert res.fitness < 1e-8
 
 
 def test_cmaes_history_is_monotone_and_starts_at_x0():
-    res = cmaes_minimize(sphere, np.zeros(4), sigma0=1.0, iterations=30, seed=2)
+    res = cmaes_minimize(batch_of(sphere), np.zeros(4), sigma0=1.0, iterations=30, seed=2)
     assert res.history[0] == 0.0
     assert res.fitness == 0.0  # can never end worse than the starting point
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
@@ -51,13 +56,15 @@ def test_cmaes_survives_non_finite_regions():
             return float("inf")
         return sphere(x)
 
-    res = cmaes_minimize(f, np.full(3, 1.6), sigma0=0.4, iterations=120, seed=3)
+    res = cmaes_minimize(batch_of(f), np.full(3, 1.6), sigma0=0.4, iterations=120, seed=3)
     assert np.isfinite(res.fitness)
     assert res.fitness < 1e-6
 
 
 def test_cmaes_evaluation_count():
-    res = cmaes_minimize(sphere, np.ones(3), sigma0=0.3, iterations=10, popsize=6, seed=0)
+    res = cmaes_minimize(
+        batch_of(sphere), np.ones(3), sigma0=0.3, iterations=10, popsize=6, seed=0
+    )
     assert res.evaluations == 1 + 10 * 6
     assert res.iterations == 10
 
@@ -148,7 +155,7 @@ def test_evaluator_maps_match_single_calls(tiny):
     with Evaluator(tiny, p) as ev:
         thetas = [p.theta, p.theta * 0.5]
         batch = ev.map_full(thetas)
-        assert batch == [ev(t) for t in thetas]
+        assert batch == [ev.map_full([t])[0] for t in thetas]
 
 
 def test_evaluator_window_scores_tail_of_window(tiny):
@@ -175,7 +182,7 @@ def test_evaluator_worker_pool_agrees_with_local(tiny):
 def test_train_cma_never_regresses_and_tags_params(tiny):
     p0 = init_params(KIND_NN, "h", np.random.default_rng(2))
     with Evaluator(tiny, p0) as ev:
-        f0 = ev(p0.theta)
+        f0 = ev.map_full([p0.theta])[0]
     trained, res = train_cma(tiny, p0, iterations=2, popsize=4, seed=0)
     assert res.fitness <= f0
     assert trained.trained_with == "cma"
@@ -186,10 +193,10 @@ def test_train_cma_never_regresses_and_tags_params(tiny):
 def test_window_steps_for_converts_hours():
     scenario, splits, _ = synth_scenario(n_households=2, split_days=(2, 1, 1), seed=13)
     assert window_steps_for(scenario, 72, 48) == (288, 192)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         window_steps_for(scenario, 12, 12)
     train = split_scenario(scenario, splits, "tune")  # one day
-    with pytest.raises(ParameterError, match="does not fit"):
+    with pytest.raises(ConfigError, match="does not fit"):
         window_steps_for(train, 72, 48)
 
 

@@ -10,7 +10,7 @@ from gridcharge.controllers import BASELINE_KINDS, KIND_CONST, KIND_MAX, KIND_MI
 from gridcharge.data import synth_scenario
 from gridcharge.domain import ChargingRequest, Household, Scenario, Timebase
 from gridcharge.oracle import OracleResult, optimal_schedule, project_capped_simplex
-from gridcharge.simulator import objective_std, simulate
+from gridcharge.simulator import SimKernel, objective_std
 
 MONDAY = datetime(2026, 3, 2)
 
@@ -139,8 +139,8 @@ def test_two_step_toy_solved_exactly():
     )
     sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=2), households=(h,))
     res = optimal_schedule(sc, warmup_steps=0)
-    assert np.allclose(res.schedule, [[10.0, 0.0]], atol=1e-6)
-    assert res.objective_std_kw == pytest.approx(0.0, abs=1e-6)
+    assert np.allclose(res.result.per_household_charging, [[10.0, 0.0]], atol=1e-6)
+    assert objective_std(res.result) == pytest.approx(0.0, abs=1e-6)
     assert res.converged
     assert np.allclose(res.result.grid_load, [10.0, 10.0], atol=1e-6)
 
@@ -149,8 +149,8 @@ def test_oracle_lower_bounds_every_baseline():
     sc, _, _ = synth_scenario(n_households=4, split_days=(2, 1, 1), seed=17)
     oracle = optimal_schedule(sc)
     for kind in (KIND_CONST, KIND_MIN, KIND_MAX):
-        std = objective_std(simulate(sc, make_controller(kind)))
-        assert oracle.objective_std_kw <= std + 1e-9
+        std = objective_std(SimKernel(sc).run(make_controller(kind)))
+        assert objective_std(oracle.result) <= std + 1e-9
 
 
 def test_oracle_schedule_is_feasible():
@@ -160,20 +160,19 @@ def test_oracle_schedule_is_feasible():
     covered = np.zeros((sc.n_households, sc.timebase.n_steps), dtype=bool)
     for hi, h in enumerate(sc.households):
         for r in h.requests:
-            window = res.schedule[hi, r.t_arrive : r.t_depart]
+            window = res.result.per_household_charging[hi, r.t_arrive : r.t_depart]
             covered[hi, r.t_arrive : r.t_depart] = True
             assert np.all(window <= r.max_kw + 1e-9)
             assert np.all(window >= -1e-12)
             assert window.sum() * dh == pytest.approx(r.required_energy, abs=1e-6)
-    assert np.all(res.schedule[~covered] == 0.0)
+    assert np.all(res.result.per_household_charging[~covered] == 0.0)
 
 
 def test_oracle_result_consistent_with_its_simulation():
     sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=8)
     res = optimal_schedule(sc)
     base = sc.baseline_matrix().sum(axis=0)
-    assert np.allclose(res.result.grid_load, base + res.schedule.sum(axis=0))
-    assert res.objective_std_kw == objective_std(res.result)
+    assert np.allclose(res.result.grid_load, base + res.result.per_household_charging.sum(axis=0))
     assert res.result.warmup_steps == sc.timebase.steps_per_day
 
 
@@ -182,8 +181,8 @@ def test_oracle_without_requests_returns_baseline():
     sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=4), households=(h,))
     res = optimal_schedule(sc, warmup_steps=0)
     assert isinstance(res, OracleResult)
-    assert np.array_equal(res.schedule, np.zeros((1, 4)))
-    assert res.objective_std_kw == pytest.approx(float(np.std([1.0, 2.0, 3.0, 4.0])))
+    assert np.array_equal(res.result.per_household_charging, np.zeros((1, 4)))
+    assert objective_std(res.result) == pytest.approx(float(np.std([1.0, 2.0, 3.0, 4.0])))
     assert res.converged
     assert res.iterations == 0
     assert res.duality_gap == 0.0
@@ -200,10 +199,10 @@ def test_oracle_beats_const_when_deferral_helps():
     )
     sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=8), households=(h,))
     oracle = optimal_schedule(sc, warmup_steps=0)
-    const = objective_std(simulate(sc, make_controller(KIND_CONST), warmup_steps=0))
-    assert oracle.objective_std_kw < const - 0.1
+    const = objective_std(SimKernel(sc).run(make_controller(KIND_CONST), warmup_steps=0))
+    assert objective_std(oracle.result) < const - 0.1
     # no charging lands on the two peak steps
-    assert np.allclose(oracle.schedule[0, 2:4], 0.0, atol=1e-6)
+    assert np.allclose(oracle.result.per_household_charging[0, 2:4], 0.0, atol=1e-6)
 
 
 def random_scenario(n_households, days, step_seconds, seed):
@@ -248,7 +247,7 @@ def test_oracle_certificate_lower_bounds_every_baseline(n_households, days, step
     load = oracle.result.grid_load
     bound = float(load @ load) - oracle.duality_gap
     loads = {
-        kind: simulate(sc, make_controller(kind), warmup_steps=0).grid_load
+        kind: SimKernel(sc).run(make_controller(kind), warmup_steps=0).grid_load
         for kind in BASELINE_KINDS
     }
     longer = optimal_schedule(sc, warmup_steps=0, rel_tol=-1.0, max_iterations=300)

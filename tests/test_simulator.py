@@ -1,8 +1,6 @@
 import csv
 import json
 from datetime import datetime
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,6 @@ from gridcharge.simulator import (
     load_changes,
     objective_std,
     result_metrics,
-    simulate,
     write_changes_csv,
     write_loads_out_csv,
     write_metrics_json,
@@ -50,28 +47,26 @@ class Recorder:
     """Stand-in controller that copies its feature matrix every step and then
     charges at full speed so every request completes."""
 
-    needs_features = True
-
     def __init__(self, input_mode):
-        self.params = SimpleNamespace(input_mode=input_mode)
+        self.input_mode = input_mode
         self.frames = []
 
     def reset(self, n_households):
         self.frames = []
 
-    def step(self, x, active, remaining, rem_steps, total_steps, required, max_kw, dh):
+    def step(self, x, req):
         self.frames.append(x.copy())
-        return max_kw * active
+        return req.max_kw * req.active
 
 
 class NanController:
-    needs_features = False
+    input_mode = None
 
     def reset(self, n_households):
         pass
 
-    def step(self, x, active, remaining, rem_steps, total_steps, required, max_kw, dh):
-        return np.full(len(active), np.nan)
+    def step(self, x, req):
+        return np.full(len(req.active), np.nan)
 
 
 def test_default_warmup_is_one_day_when_affordable():
@@ -85,7 +80,7 @@ def test_max_charge_delivery_sequence():
     sc = one_request_scenario(
         ChargingRequest("h0", t_arrive=0, t_depart=4, required_energy=5.0, max_kw=8.0)
     )
-    res = simulate(sc, make_controller(KIND_MAX), warmup_steps=0)
+    res = SimKernel(sc).run(make_controller(KIND_MAX), warmup_steps=0)
     assert np.allclose(res.per_household_charging[0], [8.0, 8.0, 4.0, 0.0, 0, 0, 0, 0])
     assert np.allclose(res.grid_load, 0.5 + res.per_household_charging[0])
 
@@ -102,7 +97,7 @@ def test_min_charge_delivery_sequence(max_kw, expected):
         ChargingRequest("h0", t_arrive=0, t_depart=4, required_energy=2.0, max_kw=max_kw),
         n_steps=4,
     )
-    res = simulate(sc, make_controller(KIND_MIN), warmup_steps=0)
+    res = SimKernel(sc).run(make_controller(KIND_MIN), warmup_steps=0)
     assert np.allclose(res.per_household_charging[0], expected)
 
 
@@ -111,7 +106,7 @@ def test_const_charge_is_flat_and_exact():
         ChargingRequest("h0", t_arrive=2, t_depart=22, required_energy=5.0, max_kw=8.0),
         n_steps=24,
     )
-    res = simulate(sc, make_controller(KIND_CONST), warmup_steps=0)
+    res = SimKernel(sc).run(make_controller(KIND_CONST), warmup_steps=0)
     charged = res.per_household_charging[0]
     assert np.allclose(charged[2:22], 1.0)
     assert np.allclose(charged[:2], 0.0) and np.allclose(charged[22:], 0.0)
@@ -123,7 +118,7 @@ def test_back_to_back_requests_hand_over_cleanly():
     second = ChargingRequest("h0", 4, 8, 2.0, 8.0)
     h = Household("h0", np.zeros(8), (first, second))
     sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=8), households=(h,))
-    res = simulate(sc, make_controller(KIND_MAX), warmup_steps=0)
+    res = SimKernel(sc).run(make_controller(KIND_MAX), warmup_steps=0)
     assert res.per_household_charging.sum() * 0.25 == pytest.approx(5.0, abs=1e-9)
 
 
@@ -131,7 +126,7 @@ def test_baselines_conserve_energy_on_synthetic_data():
     sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=5)
     want = sum(r.required_energy for r in sc.all_requests())
     for kind in (KIND_MAX, KIND_MIN, KIND_CONST):
-        res = simulate(sc, make_controller(kind))
+        res = SimKernel(sc).run(make_controller(kind))
         got = res.per_household_charging.sum() * sc.timebase.step_hours
         assert got == pytest.approx(want, abs=1e-6)
         base = sc.baseline_matrix().sum(axis=0)
@@ -140,24 +135,24 @@ def test_baselines_conserve_energy_on_synthetic_data():
 
 def test_do_nothing_controller_fails_feasibility():
     class Lazy:
-        needs_features = False
+        input_mode = None
 
         def reset(self, n):
             pass
 
-        def step(self, x, active, remaining, *rest):
-            return np.zeros(len(active))
+        def step(self, x, req):
+            return np.zeros(len(req.active))
 
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 5.0, 8.0))
     with pytest.raises(SimulationIncomplete, match="h0"):
-        simulate(sc, Lazy(), warmup_steps=0)
+        SimKernel(sc).run(Lazy(), warmup_steps=0)
 
 
 class Schedule:
     """Stand-in controller that charges `kw` at the steps where `pick(rem_steps)`
     holds and nothing otherwise."""
 
-    needs_features = False
+    input_mode = None
 
     def __init__(self, pick, kw):
         self.pick = pick
@@ -166,8 +161,8 @@ class Schedule:
     def reset(self, n):
         pass
 
-    def step(self, x, active, remaining, rem_steps, *rest):
-        return np.where(self.pick(rem_steps), self.kw, 0.0) * active
+    def step(self, x, req):
+        return np.where(self.pick(req.remaining_steps), self.kw, 0.0) * req.active
 
 
 def test_skipping_a_step_of_a_tight_request_is_infeasible():
@@ -175,7 +170,7 @@ def test_skipping_a_step_of_a_tight_request_is_infeasible():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 2.0, 2.0))
     late = Schedule(lambda rem_steps: rem_steps < 4, 2.0)
     with pytest.raises(SimulationIncomplete, match="h0 cannot finish its request from step 1"):
-        simulate(sc, late, warmup_steps=0)
+        SimKernel(sc).run(late, warmup_steps=0)
 
 
 def test_departure_audit_flags_energy_still_owed():
@@ -183,13 +178,13 @@ def test_departure_audit_flags_energy_still_owed():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     last_minute = Schedule(lambda rem_steps: rem_steps == 1, 1.0)
     with pytest.raises(SimulationIncomplete, match="departing at step 4"):
-        simulate(sc, last_minute, warmup_steps=0)
+        SimKernel(sc).run(last_minute, warmup_steps=0)
 
 
 def test_non_finite_controller_output_is_an_error():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     with pytest.raises(SimulationError, match="non-finite"):
-        simulate(sc, NanController(), warmup_steps=0)
+        SimKernel(sc).run(NanController(), warmup_steps=0)
 
 
 def test_feature_layout_household_mode():
@@ -197,7 +192,7 @@ def test_feature_layout_household_mode():
         ChargingRequest("h0", t_arrive=0, t_depart=8, required_energy=2.0, max_kw=4.0)
     )
     rec = Recorder("h")
-    simulate(sc, rec, warmup_steps=0)
+    SimKernel(sc).run(rec, warmup_steps=0)
     x0 = rec.frames[0]
     assert x0.shape == (1, 12)
     # midnight Monday: clock features are (cos 0, sin 0, weekday)
@@ -217,7 +212,7 @@ def test_feature_layout_household_mode():
 def test_feature_layout_grid_mode_appends_grid_history():
     sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=5)
     rec = Recorder("a")
-    simulate(sc, rec)
+    SimKernel(sc).run(rec)
     x0 = rec.frames[0]
     assert x0.shape == (3, 17)
     # the grid history block is shared by all households
@@ -231,7 +226,7 @@ def test_feature_layout_grid_mode_appends_grid_history():
 def test_weekend_flag_flips_on_saturday():
     sc, _, _ = synth_scenario(n_households=2, split_days=(4, 1, 2), seed=3)
     rec = Recorder("h")
-    simulate(sc, rec)
+    SimKernel(sc).run(rec)
     spd = sc.timebase.steps_per_day
     assert rec.frames[0][0, 2] == 1.0  # Monday
     assert rec.frames[5 * spd][0, 2] == 0.0  # Saturday
@@ -239,7 +234,7 @@ def test_weekend_flag_flips_on_saturday():
 
 def test_requests_before_start_step_are_skipped():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 5.0, 8.0))
-    res = simulate(sc, make_controller(KIND_MAX), start_step=2, warmup_steps=0)
+    res = SimKernel(sc).run(make_controller(KIND_MAX), start_step=2, warmup_steps=0)
     assert res.grid_load.shape == (6,)
     assert np.all(res.per_household_charging == 0.0)
     assert res.timebase.start == Timebase(start=MONDAY, n_steps=8).step_to_datetime(2)
@@ -250,13 +245,13 @@ def test_bad_simulation_range_rejected(bounds):
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     start, end = bounds
     with pytest.raises(SimulationError, match="range|warmup"):
-        simulate(sc, make_controller(KIND_MAX), start_step=start, end_step=end)
+        SimKernel(sc).run(make_controller(KIND_MAX), start_step=start, end_step=end)
 
 
 def test_warmup_cannot_swallow_the_whole_run():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     with pytest.raises(SimulationError, match="warmup"):
-        simulate(sc, make_controller(KIND_MAX), warmup_steps=8)
+        SimKernel(sc).run(make_controller(KIND_MAX), warmup_steps=8)
 
 
 def test_kernel_reuse_is_deterministic():
