@@ -16,7 +16,7 @@ import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,50 +290,99 @@ def _shared_reservoir(d_in: int, size: int, seed: int) -> ReservoirWeights:
 
 class LearnedController:
     """Trainable policy plus the output low-pass stage, stepped in lockstep
-    across all households.
+    across all households, and for a batch across K candidates as well.
+
+    A lone controller runs `params` and steps on (households,) arrays. A
+    batch runs K `thetas`, each with its own `smoothing` weight (default:
+    the template's), in the one family `params` fixes: kind, input mode,
+    network sizes, leak rate and reservoir seed. It steps on (K, households)
+    arrays and `candidates` is K. Every product is a np.matmul broadcast over
+    the candidate axis, so each candidate gets exactly its lone arithmetic.
 
     The policy is evaluated every step so internal state (reservoir, filter
     memory) stays warm; households without an active request have their
     output forced to zero and their filter memory cleared.
     """
 
-    def __init__(self, params: ControllerParams):
+    def __init__(
+        self,
+        params: ControllerParams,
+        thetas: np.ndarray | Sequence[np.ndarray] | None = None,
+        smoothing: Sequence[float] | None = None,
+    ):
         self.params = params
         self.input_mode = params.input_mode
         self.d_in = feature_count(params.input_mode)
+        if thetas is None:
+            self.candidates = None
+            theta = params.theta
+            self.smoothing = params.smoothing
+        else:
+            theta = np.asarray(thetas, dtype=float)
+            self.candidates = len(theta)
+            beta = np.full(self.candidates, params.smoothing) if smoothing is None else (
+                np.asarray(smoothing, dtype=float)
+            )
+            if theta.shape != (self.candidates, params.theta.size) or beta.shape != (
+                self.candidates,
+            ):
+                raise ParameterError(
+                    f"a batch needs one {params.theta.size}-vector and one smoothing weight "
+                    f"per candidate, got {theta.shape} and {beta.shape}"
+                )
+            if not np.all(np.isfinite(theta)):
+                raise ParameterError("controller parameters contain non-finite values")
+            if not np.all((beta >= 0.0) & (beta <= 1.0)):
+                raise ParameterError(f"smoothing must be in [0, 1], got {beta}")
+            self.smoothing = beta[:, None]
+        # Weights carry the candidate axis first (none for a lone controller),
+        # laid out so that `@` broadcasts over it.
+        lead = theta.shape[:-1]
         if params.kind == KIND_ESN:
             self.reservoir = _shared_reservoir(
                 self.d_in, params.reservoir_size, params.reservoir_seed
             )
-            self.w_out = params.theta[: params.reservoir_size + self.d_in]
-            self.b_out = float(params.theta[-1])
+            self.w_out = theta[..., : params.reservoir_size + self.d_in, None]
+            self.b_out = theta[..., -1:]
         else:
             h = params.hidden_size
             d = self.d_in
-            t = params.theta
-            self.w1 = t[: h * d].reshape(h, d)
-            self.b1 = t[h * d : h * d + h]
-            self.w2 = t[h * d + h : h * d + h + h]
-            self.b2 = float(t[-1])
+            self.w1t = theta[..., : h * d].reshape(lead + (h, d)).swapaxes(-1, -2)
+            self.b1 = theta[..., None, h * d : h * d + h]
+            self.w2 = theta[..., h * d + h : h * d + h + h, None]
+            self.b2 = theta[..., -1:]
+        self._lead = lead
         self._state: np.ndarray | None = None
+        self._readout: np.ndarray | None = None
         self._last_output: np.ndarray | None = None
 
     def reset(self, n_households: int) -> None:
-        self._last_output = np.zeros(n_households)
+        self._last_output = np.zeros(self._lead + (n_households,))
         if self.params.kind == KIND_ESN:
-            self._state = np.zeros((n_households, self.params.reservoir_size))
+            # The readout reads [state, features]; the state lives in its
+            # first columns and is updated in place.
+            size = self.params.reservoir_size
+            self._readout = np.zeros(self._lead + (n_households, size + self.d_in))
+            self._state = self._readout[..., :size]
 
     def rates(self, x: np.ndarray) -> np.ndarray:
-        """Raw policy output in [0, 1] for a (households, d_in) feature matrix."""
+        """Raw policy output in [0, 1] for a ([K,] households, d_in) feature
+        array."""
         if self.params.kind == KIND_NN:
-            hidden = relu(x @ self.w1.T + self.b1)
-            return sigmoid(hidden @ self.w2 + self.b2)
+            hidden = relu(x @ self.w1t + self.b1)
+            return sigmoid((hidden @ self.w2)[..., 0] + self.b2)
         alpha = self.params.leak_rate
         res = self.reservoir
-        pre = self._state @ res.w_recurrent.T + x @ res.w_in.T + res.b_in
-        self._state = (1.0 - alpha) * self._state + alpha * np.tanh(pre)
-        readout = np.concatenate([self._state, x], axis=1)
-        return sigmoid(readout @ self.w_out + self.b_out)
+        state = self._state
+        pre = state @ res.w_recurrent.T
+        pre += x @ res.w_in.T
+        pre += res.b_in
+        np.tanh(pre, out=pre)
+        pre *= alpha
+        state *= 1.0 - alpha
+        state += pre
+        self._readout[..., self.params.reservoir_size :] = x
+        return sigmoid((self._readout @ self.w_out)[..., 0] + self.b_out)
 
     def step(self, x: np.ndarray, req: RequestState) -> np.ndarray:
         """Charging speeds in kW: the policy's rates through the low-pass
@@ -345,7 +394,7 @@ class LearnedController:
         # The deadline floor is zero while there is slack, so the policy is
         # free to defer charging entirely.
         floor = deadline_floor_kw(req.remaining_kwh, req.remaining_steps, max_kw, req.step_hours)
-        beta = self.params.smoothing
+        beta = self.smoothing
         blended = beta * self._last_output + (1.0 - beta) * max_kw * r
         out = np.minimum(np.maximum(blended, floor), max_kw)
         out *= req.active
@@ -357,6 +406,7 @@ class RuleController:
     """Fixed charging rules that need no features and carry no state."""
 
     input_mode = None
+    candidates = None
 
     def __init__(self, kind: str):
         if kind not in BASELINE_KINDS:
@@ -381,11 +431,17 @@ class RuleController:
         return out * req.active
 
 
-def make_controller(spec: str | ControllerParams) -> LearnedController | RuleController:
-    """Controller from a baseline kind name or trained parameters."""
+def make_controller(
+    spec: str | ControllerParams,
+    thetas: np.ndarray | Sequence[np.ndarray] | None = None,
+    smoothing: Sequence[float] | None = None,
+) -> LearnedController | RuleController:
+    """Controller from a baseline kind name or trained parameters; with
+    `thetas` (and optionally one smoothing weight each), a batch of candidates
+    in the trained parameters' family."""
     if isinstance(spec, ControllerParams):
-        return LearnedController(spec)
-    if spec in BASELINE_KINDS:
+        return LearnedController(spec, thetas, smoothing)
+    if spec in BASELINE_KINDS and thetas is None:
         return RuleController(spec)
     raise ConfigError(
         f"unknown controller {spec!r}: expected one of {BASELINE_KINDS} or trained parameters"

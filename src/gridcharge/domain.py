@@ -225,11 +225,12 @@ class SimulationIncomplete(ValidationError):
 
 @dataclass(frozen=True)
 class SimResult:
-    """Total grid load plus the per-household charging that produced it."""
+    """Total grid load plus the per-household charging that produced it. A
+    batch run puts a leading candidate axis on both arrays."""
 
     timebase: Timebase
-    grid_load: np.ndarray               # (n_steps,) kW
-    per_household_charging: np.ndarray  # (households, n_steps) kW
+    grid_load: np.ndarray               # ([candidates,] n_steps) kW
+    per_household_charging: np.ndarray  # ([candidates,] households, n_steps) kW
     warmup_steps: int
 
 

@@ -4,7 +4,10 @@ output-smoothing calibration.
 Both trainers treat the simulator as a black box mapping a flat parameter
 vector to the post-warmup standard deviation of total grid load. Every
 optimizer takes that objective as one batch callable, f_batch(list of
-vectors) -> list of values, so a batch can be fanned out over processes.
+vectors) -> list of values: a CMA-ES generation, the gradient trainer's
+perturbations of one point and its step-size probes are each one batch,
+which the simulator steps together in one loop (split by its batch budget, and
+into one shard per worker process when there are several).
 CMA-ES is self-contained here; the gradient trainer estimates descent
 directions by forward differences on short simulation windows and validates
 candidate steps on the full training scenario.
@@ -19,10 +22,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controllers import ControllerParams, make_controller
+from .controllers import KIND_ESN, ControllerParams, make_controller
 from .domain import Scenario
 from .errors import ConfigError
-from .simulator import SimKernel, objective_std
+from .features import feature_count
+from .simulator import MAX_BATCH_FLOATS, SimKernel, objective_std
 
 STEP_SIZE_GRID = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 SMOOTHING_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
@@ -53,21 +57,45 @@ class OptResult:
 # A batch objective: one value per parameter vector.
 BatchObjective = Callable[[list[np.ndarray]], list[float]]
 
-# (parameter vector, start step, end step, warmup steps) of one simulation.
+# (parameter vectors, start step, end step, warmup steps) of one shard of a
+# batch; the vectors are a (candidates, parameters) array.
 Task = tuple[np.ndarray, int, int | None, int | None]
+
+
+def _candidates_per_run(kernel: SimKernel, template: ControllerParams) -> int:
+    """As many candidates as one batch run may step within MAX_BATCH_FLOATS:
+    each candidate x household row holds a day of load history, the
+    controller's state (reservoir or hidden units) and its features."""
+    state = template.reservoir_size if template.kind == KIND_ESN else template.hidden_size
+    row = kernel.timebase.steps_per_day + state + feature_count(template.input_mode)
+    return max(1, MAX_BATCH_FLOATS // (kernel.scenario.n_households * row))
 
 
 def _evaluate(
     kernel: SimKernel,
-    params: ControllerParams,
+    template: ControllerParams,
+    thetas: np.ndarray | Sequence[np.ndarray],
+    smoothing: Sequence[float] | None = None,
     start: int = 0,
     end: int | None = None,
     warmup: int | None = None,
-) -> float:
-    """The training objective of one controller on steps [start, end)."""
-    controller = make_controller(params)
-    result = kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
-    return objective_std(result)
+) -> list[float]:
+    """The training objective on steps [start, end) of each candidate of
+    `template`'s family, given its theta and smoothing weight (default: the
+    template's). Candidates are simulated together, as many per run as
+    _candidates_per_run allows."""
+    thetas = np.asarray(thetas, dtype=float)
+    per_run = _candidates_per_run(kernel, template)
+    values: list[float] = []
+    for i in range(0, len(thetas), per_run):
+        controller = make_controller(
+            template,
+            thetas[i : i + per_run],
+            None if smoothing is None else smoothing[i : i + per_run],
+        )
+        result = kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
+        values += objective_std(result)
+    return values
 
 
 _WORKER_CTX: tuple[SimKernel, ControllerParams] | None = None
@@ -78,24 +106,27 @@ def _worker_init(scenario: Scenario, template: ControllerParams) -> None:
     _WORKER_CTX = (SimKernel(scenario), template)
 
 
-def _worker_eval(task: Task) -> float:
+def _worker_eval(task: Task) -> list[float]:
     assert _WORKER_CTX is not None
     kernel, template = _WORKER_CTX
-    theta, start, end, warmup = task
-    return _evaluate(kernel, template.with_theta(theta), start, end, warmup)
+    thetas, start, end, warmup = task
+    return _evaluate(kernel, template, thetas, None, start, end, warmup)
 
 
 class Evaluator:
     """Batch objectives for one scenario and controller family.
 
     `map_full` scores parameter vectors on the whole scenario, `map_window`
-    on a window of it, across processes when `workers` > 1. Use as a context
-    manager so the pool is torn down.
+    on a window of it. A batch is simulated in as few step loops as the
+    simulator's batch budget allows; with `workers` > 1 it is cut into one
+    contiguous shard per worker process, and each worker simulates its shard
+    the same way. Use as a context manager so the pool is torn down.
     """
 
     def __init__(self, scenario: Scenario, template: ControllerParams, *, workers: int = 1):
         self.template = template
-        self.kernel = SimKernel(scenario)
+        self._workers = workers
+        self.kernel: SimKernel | None = None
         self._pool: ProcessPoolExecutor | None = None
         if workers > 1:
             self._pool = ProcessPoolExecutor(
@@ -103,6 +134,8 @@ class Evaluator:
                 initializer=_worker_init,
                 initargs=(scenario, template),
             )
+        else:
+            self.kernel = SimKernel(scenario)
 
     def __enter__(self) -> "Evaluator":
         return self
@@ -119,11 +152,10 @@ class Evaluator:
         self, thetas: Sequence[np.ndarray], start: int, end: int | None, warmup: int | None
     ) -> list[float]:
         if self._pool is None:
-            return [
-                _evaluate(self.kernel, self.template.with_theta(t), start, end, warmup)
-                for t in thetas
-            ]
-        return list(self._pool.map(_worker_eval, [(t, start, end, warmup) for t in thetas]))
+            return _evaluate(self.kernel, self.template, thetas, None, start, end, warmup)
+        shards = np.array_split(np.asarray(thetas, dtype=float), self._workers)
+        tasks = [(shard, start, end, warmup) for shard in shards if len(shard)]
+        return [f for values in self._pool.map(_worker_eval, tasks) for f in values]
 
     def map_full(self, thetas: Sequence[np.ndarray]) -> list[float]:
         return self._map(thetas, 0, None, None)
@@ -458,10 +490,8 @@ def tune_smoothing(
     Returns the re-tuned parameters and the (smoothing, objective) table.
     Ties go to the smaller weight.
     """
-    kernel = SimKernel(scenario)
-    table = [
-        (float(beta), _evaluate(kernel, replace(params, smoothing=float(beta))))
-        for beta in SMOOTHING_GRID
-    ]
+    grid = [float(beta) for beta in SMOOTHING_GRID]
+    values = _evaluate(SimKernel(scenario), params, [params.theta] * len(grid), grid)
+    table = list(zip(grid, values))
     best_beta = min(table, key=lambda row: (row[1], row[0]))[0]
     return replace(params, smoothing=best_beta), table

@@ -11,16 +11,27 @@ not depend on charging decisions (who is plugged in when, rate limits,
 deadline headroom) is precomputed per scenario as (step, household) arrays,
 because training evaluates thousands of candidate controllers on the same
 scenario and the per-step Python cost dominates. Build one `SimKernel` per
-scenario and call `run` once per controller.
+scenario and call `run` once per controller, or once per batch of candidates.
+
+A batch steps K candidates of one controller family in the same loop: every
+per-household array gets a leading candidate axis, so the Python cost of a
+step is paid once for all K. Each candidate's numbers are exactly those of
+its lone run, and a failing candidate raises what its lone run raises (the
+first to fail, if several do). The result carries grid load (K, steps) and
+charging (K, households, steps). A batch run may hold at most
+MAX_BATCH_FLOATS floats of per-step state; callers split larger batches.
 
 Controller contract, as `SimKernel.run` uses it:
   input_mode     the feature mode ("h" or "a") the controller reads, or None
                  for one that reads no features
+  candidates     K for a batch, None for a lone controller
   reset(n)       called once at the start of a run, with the household count
-  step(x, req)   called every step with the (households, features) matrix
-                 (None when input_mode is None) and the step's RequestState;
-                 returns the commanded charging speed per household in kW
-"""
+  step(x, req)   called every step with the features, shaped ([K,]
+                 households, features) (None when input_mode is None), and
+                 the step's RequestState, whose energy owed and active flags
+                 are ([K,] households) and whose request tables are
+                 (households,); returns the commanded charging speeds in kW,
+                 shaped ([K,] households)"""
 
 from __future__ import annotations
 
@@ -47,6 +58,12 @@ from .features import INPUT_ALL, RollingBuffer, encode_time_of_day, history_bloc
 Controller = LearnedController | RuleController
 
 N_LOCAL_FEATURES = 12  # clock + request state + household history block
+
+# Most floats of per-step state that one batch run may hold, counted per
+# candidate x household row as a day of load history plus the controller's
+# state (reservoir or hidden units) and features; callers split larger
+# batches. An ESN row weighs about twice an NN row, so NN batches run wider.
+MAX_BATCH_FLOATS = 40_000
 
 
 def default_warmup(timebase: Timebase, n_steps: int | None = None) -> int:
@@ -120,16 +137,26 @@ class SimKernel:
         }
         self.departures = {t: np.asarray(rows, dtype=np.intp) for t, rows in departures.items()}
 
+    @staticmethod
+    def _first_failure(failed: np.ndarray, score: np.ndarray) -> tuple[int, int]:
+        """(candidate, column) of the failure that a lone run of the first
+        failing candidate reports: its column of highest score."""
+        width = failed.shape[-1]
+        k = int(np.flatnonzero(np.any(failed.reshape(-1, width), axis=1))[0])
+        return k, int(np.argmax(score.reshape(-1, width)[k]))
+
     def _audit_departures(self, t: int, remaining: np.ndarray) -> None:
         rows = self.departures.get(t)
         if rows is None:
             return
-        owed = remaining[rows]
-        if np.any(owed > ENERGY_TOL_KWH):
-            h = int(rows[int(np.argmax(owed))])
+        owed = remaining[..., rows]
+        failed = owed > ENERGY_TOL_KWH
+        if np.any(failed):
+            k, j = self._first_failure(failed, owed)
+            h = int(rows[j])
             raise SimulationIncomplete(
                 f"request for {self.scenario.households[h].household_id} departing at "
-                f"step {t} left {float(np.max(owed)):.3e} kWh undelivered"
+                f"step {t} left {float(owed.reshape(-1, len(rows))[k, j]):.3e} kWh undelivered"
             )
 
     def run(
@@ -143,7 +170,8 @@ class SimKernel:
         """Simulate steps [start_step, end_step) from a cold start.
 
         Requests that arrived before start_step are skipped: a window has no
-        way to know how much of them was already served.
+        way to know how much of them was already served. A batch controller
+        gives a result with a leading candidate axis.
         """
         tb = self.timebase
         end = tb.n_steps if end_step is None else end_step
@@ -160,60 +188,65 @@ class SimKernel:
         n_house = self.scenario.n_households
         dh = tb.step_hours
         inv_dh = 1.0 / dh
+        # Every per-household array gets the candidate axis first; a lone
+        # controller has none.
+        lone = controller.candidates is None
+        lead = () if lone else (controller.candidates,)
         controller.reset(n_house)
 
         needs_features = controller.input_mode is not None
         grid_mode = controller.input_mode == INPUT_ALL
-        x = None
-        buf = None
-        hist = None
-        obs = None
+        x = buf = hist = obs = obs_rows = hist_rows = None
         if needs_features:
             steps_per_hour = tb.steps_per_hour
             width = N_LOCAL_FEATURES + (5 if grid_mode else 0)
-            x = np.zeros((n_house, width))
-            # One extra buffer row carries the grid total so the whole
-            # history block is computed in a single pass.
+            x = np.zeros(lead + (n_house, width))
+            # One extra buffer row per candidate carries its grid total, so
+            # the whole history block is computed in a single pass.
             rows = n_house + 1 if grid_mode else n_house
-            buf = RollingBuffer(rows, tb.steps_per_day)
-            hist = np.empty((rows, 5))
-            obs = np.empty(rows)
+            obs = np.empty(lead + (rows,))
+            buf = RollingBuffer(obs.size, tb.steps_per_day)
+            hist = np.empty(lead + (rows, 5))
+            obs_rows = obs.reshape(-1)
+            hist_rows = hist.reshape(-1, 5)
 
-        grid = np.empty(n_out)
-        charging = np.zeros((n_house, n_out))
-        remaining = np.zeros(n_house)
-        delivered = np.zeros(n_house)
+        grid = np.empty(lead + (n_out,))
+        charging = np.zeros(lead + (n_house, n_out))
+        remaining = np.zeros(lead + (n_house,))
+        delivered = np.zeros(lead + (n_house,))
 
         for t in range(start_step, end):
             self._audit_departures(t, remaining)
             arrival = self.arrivals.get(t)
             if arrival is not None:
-                remaining[arrival[0]] = arrival[1]
+                remaining[..., arrival[0]] = arrival[1]
 
             active = self.covered[t] & (remaining > FINISH_TOL_KWH)
-            if np.any(remaining > self.headroom_tol[t]):
-                h = int(np.argmax(remaining - self.headroom_tol[t]))
+            stuck = remaining > self.headroom_tol[t]
+            if np.any(stuck):
+                k, h = self._first_failure(stuck, remaining - self.headroom_tol[t])
                 raise SimulationIncomplete(
                     f"household {self.scenario.households[h].household_id} cannot finish "
-                    f"its request from step {t}: {remaining[h]:.6f} kWh owed"
+                    f"its request from step {t}: "
+                    f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
                 )
 
             if needs_features:
-                np.add(self.base[:, t], delivered, out=obs[:n_house])
+                np.add(self.base[:, t], delivered, out=obs[..., :n_house])
                 if grid_mode:
-                    obs[n_house] = obs[:n_house].sum()
-                buf.push(obs)
-                x[:, 0:3] = self.clock[t]
-                np.multiply(self.frac_steps[t], active, out=x[:, 3])
-                x[:, 4] = remaining * self.inv_required[t] * active
+                    obs[..., n_house] = obs[..., :n_house].sum(axis=-1)
+                buf.push(obs_rows)
+                x[..., 0:3] = self.clock[t]
+                np.multiply(self.frac_steps[t], active, out=x[..., 3])
+                x[..., 4] = remaining * self.inv_required[t] * active
                 flat = remaining * self.inv_rem_energy[t]
                 np.minimum(flat, self.max_kw[t], out=flat)
-                x[:, 5] = flat * self.inv_max_kw[t] * active
-                x[:, 6] = x[:, 5]
-                history_block(buf, steps_per_hour, out=hist)
-                x[:, 7:12] = hist[:n_house]
+                x[..., 5] = flat * self.inv_max_kw[t] * active
+                x[..., 6] = x[..., 5]
+                history_block(buf, steps_per_hour, out=hist_rows)
+                x[..., 7:12] = hist[..., :n_house, :]
                 if grid_mode:
-                    x[:, 12:17] = hist[n_house]
+                    x[..., 12:17] = hist[..., n_house, None, :]
 
             req = RequestState(
                 active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
@@ -223,11 +256,11 @@ class SimKernel:
             delivered = np.minimum(speeds, np.maximum(remaining, 0.0) * inv_dh)
 
             i = t - start_step
-            charging[:, i] = delivered
-            total = self.base_total[t] + delivered.sum()
-            if not math.isfinite(total):
+            charging[..., i] = delivered
+            total = self.base_total[t] + delivered.sum(axis=-1)
+            if not (math.isfinite(total) if lone else np.isfinite(total).all()):
                 raise SimulationError(f"controller produced a non-finite load at step {t}")
-            grid[i] = total
+            grid[..., i] = total
             remaining -= delivered * dh
 
         self._audit_departures(end, remaining)
@@ -248,10 +281,13 @@ class SimKernel:
 # ---------------------------------------------------------------------------
 
 
-def objective_std(result: SimResult) -> float:
+def objective_std(result: SimResult) -> float | list[float]:
     """Standard deviation of the total grid load after warmup (the quantity
-    training minimizes)."""
-    return float(np.std(result.grid_load[result.warmup_steps :]))
+    training minimizes); one value per candidate of a batch result."""
+    post = result.grid_load[..., result.warmup_steps :]
+    if post.ndim == 1:
+        return float(np.std(post))
+    return [float(np.std(row)) for row in post]
 
 
 def load_changes(result: SimResult) -> np.ndarray:

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridcharge.controllers import KIND_NN, init_params
+from gridcharge.controllers import KIND_ESN, KIND_NN, init_params, make_controller
 from gridcharge.data import synth_scenario, split_scenario
 from gridcharge.errors import ConfigError
 from gridcharge.optim import (
     SMOOTHING_GRID,
     CmaEs,
     Evaluator,
+    _candidates_per_run,
+    _evaluate,
     cmaes_minimize,
     finite_difference_gradient,
     minimize_numgrad,
@@ -16,6 +20,7 @@ from gridcharge.optim import (
     tune_smoothing,
     window_steps_for,
 )
+from gridcharge.simulator import SimKernel, objective_std
 
 
 def sphere(x):
@@ -150,6 +155,41 @@ def tiny():
     return split_scenario(scenario, splits, "train")
 
 
+@pytest.fixture(scope="module")
+def crowd():
+    """Enough households that a batch a few candidates past what one run may
+    hold still simulates quickly."""
+    scenario, splits, _ = synth_scenario(n_households=60, split_days=(2, 1, 1), seed=13)
+    return split_scenario(scenario, splits, "train")
+
+
+@pytest.mark.parametrize("kind", [KIND_NN, KIND_ESN])
+@pytest.mark.parametrize("mode", ["h", "a"])
+def test_batch_objectives_equal_lone_runs(crowd, kind, mode):
+    """A batch split over several runs scores every candidate exactly as its
+    lone run does, each with its own smoothing, on the full scenario and on a
+    window from mid-scenario with warmup."""
+    rng = np.random.default_rng(6)
+    template = init_params(kind, mode, rng, reservoir_size=20)
+    kernel = SimKernel(crowd)
+    n_cand = _candidates_per_run(kernel, template) + 2
+    thetas = template.theta + 0.5 * rng.standard_normal((n_cand, template.theta.size))
+    smoothing = rng.uniform(0.0, 1.0, n_cand)
+    for start, end, warmup in ((0, None, None), (50, 150, 40)):
+        batch = _evaluate(kernel, template, thetas, smoothing, start, end, warmup)
+        lone = [
+            objective_std(
+                kernel.run(
+                    make_controller(replace(template, theta=theta, smoothing=float(beta))),
+                    start_step=start, end_step=end, warmup_steps=warmup,
+                )
+            )
+            for theta, beta in zip(thetas, smoothing)
+        ]
+        assert batch == lone
+        assert len(set(lone)) == n_cand
+
+
 def test_evaluator_maps_match_single_calls(tiny):
     p = init_params(KIND_NN, "h", np.random.default_rng(0))
     with Evaluator(tiny, p) as ev:
@@ -232,4 +272,9 @@ def test_tune_smoothing_returns_argmin(tiny):
     tuned, table = tune_smoothing(tiny, p)
     best = min(table, key=lambda row: (row[1], row[0]))
     assert tuned.smoothing == best[0]
+    kernel = SimKernel(tiny)
+    assert table == [
+        (beta, objective_std(kernel.run(make_controller(replace(p, smoothing=beta)))))
+        for beta in SMOOTHING_GRID
+    ]
     assert tuned.theta is not p.theta or np.array_equal(tuned.theta, p.theta)

@@ -1,13 +1,17 @@
 import csv
 import json
+from dataclasses import replace
 from datetime import datetime
 import numpy as np
 import pytest
 
 from gridcharge.controllers import (
     KIND_CONST,
+    KIND_ESN,
     KIND_MAX,
     KIND_MIN,
+    KIND_NN,
+    init_params,
     make_controller,
 )
 from gridcharge.data import synth_scenario
@@ -47,6 +51,8 @@ class Recorder:
     """Stand-in controller that copies its feature matrix every step and then
     charges at full speed so every request completes."""
 
+    candidates = None
+
     def __init__(self, input_mode):
         self.input_mode = input_mode
         self.frames = []
@@ -61,6 +67,7 @@ class Recorder:
 
 class NanController:
     input_mode = None
+    candidates = None
 
     def reset(self, n_households):
         pass
@@ -136,6 +143,7 @@ def test_baselines_conserve_energy_on_synthetic_data():
 def test_do_nothing_controller_fails_feasibility():
     class Lazy:
         input_mode = None
+        candidates = None
 
         def reset(self, n):
             pass
@@ -153,6 +161,7 @@ class Schedule:
     holds and nothing otherwise."""
 
     input_mode = None
+    candidates = None
 
     def __init__(self, pick, kw):
         self.pick = pick
@@ -185,6 +194,93 @@ def test_non_finite_controller_output_is_an_error():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     with pytest.raises(SimulationError, match="non-finite"):
         SimKernel(sc).run(NanController(), warmup_steps=0)
+
+
+class BatchSchedule:
+    """Stand-in batch controller: candidate k charges as `schedules[k]` does."""
+
+    input_mode = None
+
+    def __init__(self, *schedules):
+        self.schedules = schedules
+        self.candidates = len(schedules)
+
+    def reset(self, n):
+        pass
+
+    def step(self, x, req):
+        picks = [np.where(s.pick(req.remaining_steps), s.kw, 0.0) for s in self.schedules]
+        return np.stack(picks) * req.active
+
+
+@pytest.mark.parametrize(
+    "requests,failing,message",
+    [
+        # h1's 2 kWh at 2 kW has no slack; skipping step 0 strands it at step 1.
+        (
+            ((0, 4, 1.0, 8.0), (0, 4, 2.0, 2.0)),
+            Schedule(lambda rem_steps: rem_steps < 4, 2.0),
+            "household h1 cannot finish its request from step 1: 2.000000 kWh owed",
+        ),
+        # 1 kW on the last step covers h0's 0.1 kWh but not h1's 1 kWh.
+        (
+            ((0, 4, 0.1, 8.0), (0, 4, 1.0, 8.0)),
+            Schedule(lambda rem_steps: rem_steps == 1, 1.0),
+            "request for h1 departing at step 4 left 7.500e-01 kWh undelivered",
+        ),
+    ],
+)
+def test_batch_failure_is_the_lone_failure_of_its_candidate(requests, failing, message):
+    households = tuple(
+        Household(f"h{i}", np.zeros(8), (ChargingRequest(f"h{i}", *req),))
+        for i, req in enumerate(requests)
+    )
+    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=8), households=households)
+    eager = Schedule(lambda rem_steps: rem_steps > 0, 2.0)
+    with pytest.raises(SimulationIncomplete) as lone:
+        SimKernel(sc).run(failing, warmup_steps=0)
+    assert str(lone.value) == message
+    with pytest.raises(SimulationIncomplete) as batch:
+        SimKernel(sc).run(BatchSchedule(eager, failing, eager), warmup_steps=0)
+    assert str(batch.value) == message
+
+
+def test_batch_non_finite_candidate_fails_at_its_lone_step():
+    sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=13)
+    template = init_params(KIND_NN, "h", np.random.default_rng(0))
+    bad = template.theta.copy()
+    bad[::2] = 1e300
+    bad[1::2] = -1e300
+    kernel = SimKernel(sc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match="non-finite load at step") as lone:
+            kernel.run(make_controller(template.with_theta(bad)))
+        with pytest.raises(SimulationError) as batch:
+            kernel.run(make_controller(template, [template.theta, bad, 0.5 * template.theta]))
+    assert str(batch.value) == str(lone.value)
+
+
+@pytest.mark.parametrize("kind", [KIND_NN, KIND_ESN])
+@pytest.mark.parametrize("mode", ["h", "a"])
+def test_batch_run_repeats_every_lone_run(kind, mode):
+    sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=5)
+    rng = np.random.default_rng(1)
+    template = init_params(kind, mode, rng, reservoir_size=50)
+    thetas = template.theta + 0.5 * rng.standard_normal((4, template.theta.size))
+    smoothing = [0.0, 0.3, 0.9, 1.0]
+    kernel = SimKernel(sc)
+    batch = kernel.run(make_controller(template, thetas, smoothing))
+    n_steps = sc.timebase.n_steps
+    assert batch.grid_load.shape == (4, n_steps)
+    assert batch.per_household_charging.shape == (4, 3, n_steps)
+    lone = [
+        kernel.run(make_controller(replace(template, theta=theta, smoothing=beta)))
+        for theta, beta in zip(thetas, smoothing)
+    ]
+    for k, res in enumerate(lone):
+        assert np.array_equal(batch.grid_load[k], res.grid_load)
+        assert np.array_equal(batch.per_household_charging[k], res.per_household_charging)
+    assert objective_std(batch) == [objective_std(res) for res in lone]
 
 
 def test_feature_layout_household_mode():
