@@ -8,6 +8,7 @@ power in kW held for one simulation step. Converting between the two uses
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -61,8 +62,20 @@ class Timebase:
     def step_to_datetime(self, t: int) -> datetime:
         return self.start + timedelta(seconds=t * self.step_seconds)
 
+    def iso_timestamps(self, count: int | None = None) -> list[str]:
+        """``step_to_datetime(t).isoformat()`` for t = 0 .. count - 1 (default:
+        every step): the timestamp column of the CSV files, built once."""
+        count = self.n_steps if count is None else count
+        return [self.step_to_datetime(t).isoformat() for t in range(count)]
+
     def datetime_to_step(self, when: datetime) -> int:
-        delta = (when - self.start).total_seconds()
+        try:
+            delta = (when - self.start).total_seconds()
+        except TypeError:  # one of the two carries a UTC offset, the other none
+            raise ValidationError(
+                f"timestamp {when.isoformat()} and start {self.start.isoformat()} "
+                "differ in whether they carry a UTC offset"
+            ) from None
         steps = delta / self.step_seconds
         if abs(steps - round(steps)) > 1e-9:
             raise ValidationError(f"timestamp {when.isoformat()} is not aligned to the step grid")
@@ -242,22 +255,36 @@ LOADS_HEADER = ["timestamp", "household_id", "baseline_kw"]
 REQUESTS_HEADER = ["household_id", "t_arrive_iso", "t_depart_iso", "required_kwh", "max_kw"]
 
 
+def _csv_field(value: str) -> str:
+    """value as csv.writer writes it between two other fields: quoted, with
+    its quotes doubled, only when it holds a delimiter, a quote or a line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", value, ""])
+    return buf.getvalue()[1:-3]
+
+
 def save_scenario(scenario: Scenario, directory: str | Path) -> None:
     """Write loads.csv and requests.csv into directory (created if missing).
 
-    Floats are written with repr so a round-trip reproduces them exactly.
+    Both files are CSV with CRLF line ends, quoted as ``csv.writer`` quotes.
+    loads.csv starts with the header ``timestamp,household_id,baseline_kw,
+    step_seconds=<s>`` and then holds one row per household per step,
+    household-major (every step of the first household, then the next) and
+    in step order; requests.csv holds one row per request. Timestamps are
+    ISO 8601 and floats are written with repr, so a round-trip reproduces
+    them exactly. loads.csv is written one household block at a time: each
+    distinct timestamp and household id is formatted once.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tb = scenario.timebase
+    stamps = tb.iso_timestamps(tb.n_steps + 1)  # a request may depart at n_steps
     with open(directory / "loads.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(LOADS_HEADER + [f"step_seconds={tb.step_seconds}"])
+        csv.writer(f).writerow(LOADS_HEADER + [f"step_seconds={tb.step_seconds}"])
         for h in scenario.households:
-            for t in range(tb.n_steps):
-                w.writerow(
-                    [tb.step_to_datetime(t).isoformat(), h.household_id, repr(float(h.baseline_load[t]))]
-                )
+            mid = f",{_csv_field(h.household_id)},"
+            values = np.asarray(h.baseline_load, dtype=float).tolist()
+            f.write("".join([f"{s}{mid}{v!r}\r\n" for s, v in zip(stamps, values)]))
     with open(directory / "requests.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(REQUESTS_HEADER)
@@ -266,8 +293,8 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> None:
                 w.writerow(
                     [
                         h.household_id,
-                        tb.step_to_datetime(r.t_arrive).isoformat(),
-                        tb.step_to_datetime(r.t_depart).isoformat(),
+                        stamps[r.t_arrive],
+                        stamps[r.t_depart],
                         repr(float(r.required_energy)),
                         repr(float(r.max_kw)),
                     ]
@@ -291,7 +318,14 @@ def _parse_iso(value: str, what: str, row: int, file: str) -> datetime:
 def load_scenario(directory: str | Path) -> Scenario:
     """Read loads.csv and requests.csv back into a validated Scenario.
 
-    Errors cite the offending file and row number.
+    loads.csv follows the contract ``save_scenario`` writes: its first data
+    row sets the start, ``step_seconds`` in its header the step (default
+    900), and every household needs exactly one row per step, starting at
+    the start and in step order. Households may come one after the other or
+    interleaved step by step. A row whose timestamp is off that grid, out of
+    order, repeated or skipping a step is an error; errors cite the
+    offending file and row number. Rows stream through: each distinct
+    timestamp is parsed once.
     """
     directory = Path(directory)
     loads_path = directory / "loads.csv"
@@ -299,9 +333,9 @@ def load_scenario(directory: str | Path) -> Scenario:
     if not loads_path.exists():
         raise ValidationError(f"{directory} is not a dataset directory: {loads_path} missing")
 
-    series: dict[str, list[float]] = {}
-    first_time: dict[str, datetime] = {}
-    order: list[str] = []
+    series: dict[str, list[float]] = {}  # household id -> baseline, in file order
+    stamp_steps: dict[str, int] = {}     # timestamp text -> step on the grid
+    grid: Timebase | None = None         # start and step; n_steps is known at the end
     step_seconds = 900
     with open(loads_path, newline="") as f:
         reader = csv.reader(f)
@@ -316,33 +350,54 @@ def load_scenario(directory: str | Path) -> Scenario:
                 except ValueError:
                     raise ValidationError(f"loads.csv row 1: bad step_seconds {val!r}") from None
         for i, row in enumerate(reader, start=2):
-            if len(row) != len(LOADS_HEADER):
-                raise ValidationError(f"loads.csv row {i}: expected {len(LOADS_HEADER)} columns")
-            when = _parse_iso(row[0], "timestamp", i, "loads.csv")
-            hid = row[1]
-            kw = _parse_float(row[2], "baseline_kw", i, "loads.csv")
+            try:
+                stamp, hid, text = row
+                kw = float(text)
+            except ValueError:
+                if len(row) != len(LOADS_HEADER):
+                    raise ValidationError(
+                        f"loads.csv row {i}: expected {len(LOADS_HEADER)} columns"
+                    ) from None
+                raise ValidationError(f"loads.csv row {i}: bad baseline_kw {text!r}") from None
+            step = stamp_steps.get(stamp)
+            if step is None:
+                when = _parse_iso(stamp, "timestamp", i, "loads.csv")
+                if grid is None:
+                    try:
+                        grid = Timebase(start=when, n_steps=1, step_seconds=step_seconds)
+                    except ValidationError as exc:
+                        raise ValidationError(f"loads.csv row 1: {exc}") from None
+                try:
+                    step = stamp_steps[stamp] = grid.datetime_to_step(when)
+                except ValidationError as exc:
+                    raise ValidationError(f"loads.csv row {i}: {exc}") from None
+            values = series.get(hid)
+            if values is None:
+                if step != 0:
+                    raise ValidationError(
+                        f"loads.csv row {i}: household {hid} does not start at {grid.start}"
+                    )
+                values = series[hid] = []
+            if step != len(values):
+                raise ValidationError(
+                    f"loads.csv row {i}: household {hid} timestamp {stamp} is step {step}, "
+                    f"expected step {len(values)}"
+                )
             if kw < 0:
                 raise ValidationError(f"loads.csv row {i}: negative baseline_kw {kw}")
-            if hid not in series:
-                series[hid] = []
-                first_time[hid] = when
-                order.append(hid)
-            series[hid].append(kw)
-    if not order:
+            values.append(kw)
+    if grid is None:
         raise ValidationError("loads.csv: no data rows")
 
-    first = order[0]
-    n_steps = len(series[first])
-    tb = Timebase(start=first_time[first], n_steps=n_steps, step_seconds=step_seconds)
-    for hid in order:
-        if len(series[hid]) != n_steps:
+    n_steps = len(next(iter(series.values())))
+    tb = Timebase(start=grid.start, n_steps=n_steps, step_seconds=step_seconds)
+    for hid, values in series.items():
+        if len(values) != n_steps:
             raise ValidationError(
-                f"loads.csv: household {hid} has {len(series[hid])} rows, expected {n_steps}"
+                f"loads.csv: household {hid} has {len(values)} rows, expected {n_steps}"
             )
-        if first_time[hid] != tb.start:
-            raise ValidationError(f"loads.csv: household {hid} does not start at {tb.start}")
 
-    requests: dict[str, list[ChargingRequest]] = {hid: [] for hid in order}
+    requests: dict[str, list[ChargingRequest]] = {hid: [] for hid in series}
     if requests_path.exists():
         with open(requests_path, newline="") as f:
             reader = csv.reader(f)
@@ -381,6 +436,6 @@ def load_scenario(directory: str | Path) -> Scenario:
             baseline_load=np.asarray(series[hid], dtype=float),
             requests=tuple(sorted(requests[hid], key=lambda r: r.t_arrive)),
         )
-        for hid in order
+        for hid in series
     )
     return Scenario(timebase=tb, households=households)

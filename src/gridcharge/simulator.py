@@ -35,7 +35,6 @@ Controller contract, as `SimKernel.run` uses it:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -312,20 +311,16 @@ def result_metrics(result: SimResult) -> dict[str, float | int]:
 
 
 def write_loads_out_csv(result: SimResult, path: str | Path) -> None:
+    """One CRLF row per step: step, ISO timestamp, grid kW, charging kW (repr)."""
     tb = result.timebase
+    grid = result.grid_load.tolist()
+    totals = result.per_household_charging.sum(axis=0).tolist()
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "timestamp", "grid_kw", "charging_kw_total"])
-        totals = result.per_household_charging.sum(axis=0)
-        for t in range(tb.n_steps):
-            w.writerow(
-                [
-                    t,
-                    tb.step_to_datetime(t).isoformat(),
-                    repr(float(result.grid_load[t])),
-                    repr(float(totals[t])),
-                ]
-            )
+        f.write("step,timestamp,grid_kw,charging_kw_total\r\n")
+        f.write("".join([
+            f"{t},{stamp},{grid[t]!r},{totals[t]!r}\r\n"
+            for t, stamp in enumerate(tb.iso_timestamps())
+        ]))
 
 
 def write_metrics_json(result: SimResult, path: str | Path) -> None:
@@ -333,11 +328,10 @@ def write_metrics_json(result: SimResult, path: str | Path) -> None:
 
 
 def write_changes_csv(result: SimResult, path: str | Path) -> None:
+    """One CRLF row per post-warmup step-to-step change in kW (repr)."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["change_kw"])
-        for v in load_changes(result):
-            w.writerow([repr(float(v))])
+        f.write("change_kw\r\n")
+        f.write("".join([f"{v!r}\r\n" for v in load_changes(result).tolist()]))
 
 
 __all__ = [

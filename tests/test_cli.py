@@ -258,6 +258,21 @@ def test_bad_step_seconds_header_exits_3(tmp_path, caplog):
     assert any("loads.csv row 1" in r.message for r in caplog.records)
 
 
+def test_loads_row_off_the_step_grid_exits_3(tmp_path, caplog):
+    data = tmp_path / "bad"
+    data.mkdir()
+    (data / "loads.csv").write_text(
+        "timestamp,household_id,baseline_kw\n"
+        "2026-03-02T00:00:00,h1,1.0\n"
+        "2026-03-02T05:00:00,h1,1.0\n"
+        "2026-03-02T00:00:00,h1,1.0\n"
+    )
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("eval", "--data", data, "--out", tmp_path / "o", "--no-oracle")
+    assert rc == 3
+    assert any("loads.csv row 3" in r.message for r in caplog.records)
+
+
 def test_malformed_params_file_exits_3(dataset, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

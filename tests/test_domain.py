@@ -187,22 +187,31 @@ def test_scenario_round_trip(tmp_path):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=50.0, allow_nan=False, width=64),
-        min_size=2,
-        max_size=12,
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.floats(min_value=0.0, max_value=50.0, allow_nan=False, width=64),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=1,
+            max_size=4,
+        )
     )
 )
-def test_loads_round_trip_is_exact(tmp_path_factory, values):
+def test_loads_round_trip_is_exact(tmp_path_factory, rows):
     tmp_path = tmp_path_factory.mktemp("loads")
-    tb = Timebase(start=MONDAY, n_steps=len(values))
+    tb = Timebase(start=MONDAY, n_steps=len(rows[0]))
     scenario = Scenario(
         timebase=tb,
-        households=(Household("h0", baseline_load=np.array(values)),),
+        households=tuple(
+            Household(f"h{k}", baseline_load=np.array(values)) for k, values in enumerate(rows)
+        ),
     )
     save_scenario(scenario, tmp_path)
     back = load_scenario(tmp_path)
-    assert np.array_equal(back.households[0].baseline_load, np.array(values))
+    assert [h.household_id for h in back.households] == [f"h{k}" for k in range(len(rows))]
+    assert np.array_equal(back.baseline_matrix(), np.array(rows))
 
 
 def test_load_scenario_cites_bad_row(tmp_path):
@@ -251,4 +260,73 @@ def test_load_scenario_rejects_household_starting_late(tmp_path):
     late.append(late[-1])  # same row count, first timestamp one step late
     loads.write_text("\n".join(lines + late) + "\n")
     with pytest.raises(ValidationError, match="h001 does not start at"):
+        load_scenario(tmp_path)
+
+
+def write_loads(path, rows, step_seconds=900):
+    """loads.csv from (clock time on MONDAY, household, kW) rows."""
+    lines = [f"timestamp,household_id,baseline_kw,step_seconds={step_seconds}"]
+    lines += [f"2026-03-02T{clock},{hid},{kw}" for clock, hid, kw in rows]
+    (path / "loads.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "rows,bad_row,message",
+    [
+        # back to the start after a jump: the repro of rows off the grid
+        ([("00:00", "h1", 1.0), ("05:00", "h1", 2.0), ("00:00", "h1", 3.0)], 3, "step 20"),
+        ([("00:00", "h1", 1.0), ("00:00", "h1", 2.0)], 3, "is step 0, expected step 1"),
+        ([("00:00", "h1", 1.0), ("00:30", "h1", 2.0)], 3, "is step 2, expected step 1"),
+        (
+            [("00:00", "h1", 1.0), ("00:15", "h1", 2.0), ("00:30", "h1", 3.0),
+             ("00:15", "h1", 4.0)],
+            5,
+            "is step 1, expected step 3",
+        ),
+        ([("00:00", "h1", 1.0), ("00:07", "h1", 2.0)], 3, "not aligned to the step grid"),
+        ([("00:15", "h1", 1.0), ("00:00", "h1", 2.0)], 3, "is step -1, expected step 1"),
+    ],
+)
+def test_load_scenario_rejects_rows_off_the_step_grid(tmp_path, rows, bad_row, message):
+    write_loads(tmp_path, rows)
+    with pytest.raises(ValidationError, match=f"loads.csv row {bad_row}: .*{message}"):
+        load_scenario(tmp_path)
+
+
+def test_load_scenario_rejects_a_second_household_out_of_step(tmp_path):
+    rows = [("00:00", "h1", 1.0), ("00:15", "h1", 1.0), ("00:00", "h2", 1.0), ("00:00", "h2", 1.0)]
+    write_loads(tmp_path, rows)
+    with pytest.raises(ValidationError, match="loads.csv row 5: household h2 .*expected step 1"):
+        load_scenario(tmp_path)
+
+
+def test_load_scenario_rejects_a_mix_of_offset_and_naive_timestamps(tmp_path):
+    write_loads(tmp_path, [("00:00", "h1", 1.0), ("00:15+00:00", "h1", 1.0)])
+    with pytest.raises(ValidationError, match="loads.csv row 3: .*UTC offset"):
+        load_scenario(tmp_path)
+
+
+def test_load_scenario_reads_households_interleaved_in_step_order(tmp_path):
+    rows = [
+        (clock, hid, kw)
+        for clock, kw in (("00:00", 1.0), ("01:00", 2.0), ("02:00", 3.0))
+        for hid in ("h1", "h2")
+    ]
+    write_loads(tmp_path, rows, step_seconds=3600)
+    back = load_scenario(tmp_path)
+    assert back.timebase == Timebase(start=MONDAY, n_steps=3, step_seconds=3600)
+    assert [h.household_id for h in back.households] == ["h1", "h2"]
+    assert np.array_equal(back.baseline_matrix(), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+
+
+def test_load_scenario_cites_the_header_for_a_bad_step(tmp_path):
+    write_loads(tmp_path, [("00:00", "h1", 1.0)], step_seconds=7)
+    with pytest.raises(ValidationError, match="loads.csv row 1: step_seconds must be"):
+        load_scenario(tmp_path)
+
+
+def test_load_scenario_rejects_a_household_with_missing_steps(tmp_path):
+    rows = [("00:00", "h1", 1.0), ("00:15", "h1", 1.0), ("00:00", "h2", 1.0)]
+    write_loads(tmp_path, rows)
+    with pytest.raises(ValidationError, match="household h2 has 1 rows, expected 2"):
         load_scenario(tmp_path)
