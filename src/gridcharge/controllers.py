@@ -43,12 +43,12 @@ RESERVOIR_ZERO_TENTHS = 9
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large negative inputs.
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below,
+    # chosen elementwise instead of by gathering each sign's entries.
+    out = np.exp(-np.abs(x), out=np.empty_like(x, dtype=float))
+    d = 1.0 + out
+    out /= d
+    np.divide(1.0, d, out=out, where=x >= 0)
     return out
 
 

@@ -311,18 +311,48 @@ def write_splits_json(
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_splits_json(path: str | Path) -> dict[str, tuple[int, int]]:
+def read_splits_json(path: str | Path, timebase: Timebase) -> dict[str, tuple[int, int]]:
+    """The split ranges of a manifest written for `timebase`'s dataset.
+
+    Every number must be a JSON integer (not a boolean, not a float):
+    `format_version` 1, `step_seconds` equal to the dataset's, and each
+    split's `start_step` and `end_step` with 0 <= start < end <= n_steps.
+    Anything else raises a ValidationError that names the file and field.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    try:
-        return {
-            name: (int(rng["start_step"]), int(rng["end_step"]))
-            for name, rng in doc["splits"].items()
-        }
-    except (KeyError, TypeError):
-        raise ValidationError(f"{path}: malformed splits manifest") from None
+
+    def integer(value: object, field: str, expected: int | None = None) -> int:
+        if type(value) is not int:
+            raise ValidationError(
+                f"{path}: {field} must be a JSON integer, got {json.dumps(value)}"
+            )
+        if expected is not None and value != expected:
+            raise ValidationError(f"{path}: {field} is {value}, expected {expected}")
+        return value
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("splits"), dict):
+        raise ValidationError(f"{path}: malformed splits manifest")
+    for field in ("format_version", "step_seconds"):
+        if field not in doc:
+            raise ValidationError(f"{path}: missing {field}")
+    integer(doc["format_version"], "format_version", 1)
+    integer(doc["step_seconds"], "step_seconds", timebase.step_seconds)
+    splits = {}
+    for name, rng in doc["splits"].items():
+        if not isinstance(rng, dict) or not {"start_step", "end_step"} <= rng.keys():
+            raise ValidationError(f"{path}: split {name!r} needs start_step and end_step")
+        a = integer(rng["start_step"], f"splits.{name}.start_step")
+        b = integer(rng["end_step"], f"splits.{name}.end_step")
+        if not (0 <= a < b <= timebase.n_steps):
+            raise ValidationError(
+                f"{path}: split {name!r} range [{a},{b}) outside scenario "
+                f"of {timebase.n_steps} steps"
+            )
+        splits[name] = (a, b)
+    return splits
 
 
 def save_dataset(
@@ -344,12 +374,9 @@ def load_dataset(directory: str | Path) -> tuple[Scenario, dict[str, tuple[int, 
     scenario = load_scenario(directory)
     splits_path = directory / "splits.json"
     if splits_path.exists():
-        splits = read_splits_json(splits_path)
+        splits = read_splits_json(splits_path, scenario.timebase)
     else:
         splits = {"train": (0, scenario.timebase.n_steps)}
-    for name, (a, b) in splits.items():
-        if not (0 <= a < b <= scenario.timebase.n_steps):
-            raise ValidationError(f"split {name!r} range [{a},{b}) outside scenario")
     return scenario, splits
 
 

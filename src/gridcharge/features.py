@@ -80,6 +80,16 @@ class RollingBuffer:
     series. Lag queries clamp to the oldest available entry while the buffer
     is still filling, so early-run features degrade gracefully instead of
     reading uninitialized memory.
+
+    Range invariant: after every push, `lo` and `hi` hold each row's
+    `window().min(axis=1)` and `window().max(axis=1)`. A push folds the new
+    column in with `np.minimum`/`np.maximum` and rescans only the rows whose
+    evicted value may have been an extreme (it was not strictly inside the
+    range). A NaN counts in the range while, and only while, it is in the
+    window, as it does in the full scan: comparisons with NaN are false, so
+    a row whose range or evicted value is NaN is rescanned. A row whose
+    minimum is zero is rescanned too, so that the sign of a zero minimum is
+    the full scan's, bit for bit.
     """
 
     def __init__(self, n_rows: int, capacity: int):
@@ -90,12 +100,32 @@ class RollingBuffer:
         self.values = np.zeros((n_rows, capacity))
         self.count = 0
         self._pos = 0  # next write slot
+        self.lo = np.full(n_rows, np.inf)
+        self.hi = np.full(n_rows, -np.inf)
 
     def push(self, column: np.ndarray) -> None:
-        self.values[:, self._pos] = column
+        slot = self.values[:, self._pos]
         self._pos = (self._pos + 1) % self.capacity
-        if self.count < self.capacity:
+        evicting = self.count == self.capacity
+        if evicting:
+            evicted = slot.copy()
+        else:
             self.count += 1
+        slot[...] = column
+        lo, hi = self.lo, self.hi
+        np.minimum(lo, slot, out=lo)
+        np.maximum(hi, slot, out=hi)
+        keep = lo != 0.0
+        if evicting:
+            # Only a value strictly inside the range cannot have been the
+            # extreme; false for NaN too.
+            keep &= evicted < hi
+            keep &= evicted > lo
+        if not keep.all():
+            rows = np.flatnonzero(~keep)
+            win = self.window()[rows]
+            lo[rows] = np.minimum.reduce(win, axis=1)
+            hi[rows] = np.maximum.reduce(win, axis=1)
 
     def current(self) -> np.ndarray:
         if self.count == 0:
@@ -125,15 +155,19 @@ def history_block(
     Columns: ratio of the current value to the window mean (1.0 when the mean
     is zero), change over one step, over one hour, over three hours, and the
     current value's position inside the window's [min, max] range (0.5 when
-    the range is degenerate). Runs in the per-step hot path, hence the
-    preallocated `out` and the spelled-out ufunc calls.
+    the range is degenerate or NaN). The range is the buffer's tracked
+    `lo`/`hi`, which equal a full scan of the window; the mean still scans
+    the window, because a running sum would round differently. Runs in the
+    per-step hot path, hence the preallocated `out` and the spelled-out
+    ufunc calls.
     """
     if out is None:
         out = np.empty((buffer.n_rows, 5))
     cur = buffer.current()
-    win = buffer.window()
 
-    mean = win.mean(axis=1)
+    # The same sum and division as window().mean(axis=1), minus its wrapper.
+    mean = np.add.reduce(buffer.window(), axis=1)
+    mean /= buffer.count
     out[:, 0] = 1.0
     np.divide(cur, mean, out=out[:, 0], where=mean > 0)
 
@@ -141,10 +175,8 @@ def history_block(
     np.subtract(cur, buffer.lagged(steps_per_hour), out=out[:, 2])
     np.subtract(cur, buffer.lagged(3 * steps_per_hour), out=out[:, 3])
 
-    lo = win.min(axis=1)
-    hi = win.max(axis=1)
-    span = hi - lo
+    lo = buffer.lo
+    span = buffer.hi - lo
     out[:, 4] = 0.5
     np.divide(cur - lo, span, out=out[:, 4], where=span > 0)
     return out
-

@@ -222,7 +222,7 @@ class SimKernel:
 
             active = self.covered[t] & (remaining > FINISH_TOL_KWH)
             stuck = remaining > self.headroom_tol[t]
-            if np.any(stuck):
+            if stuck.any():
                 k, h = self._first_failure(stuck, remaining - self.headroom_tol[t])
                 raise SimulationIncomplete(
                     f"household {self.scenario.households[h].household_id} cannot finish "

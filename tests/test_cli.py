@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -271,6 +272,33 @@ def test_loads_row_off_the_step_grid_exits_3(tmp_path, caplog):
         rc = run("eval", "--data", data, "--out", tmp_path / "o", "--no-oracle")
     assert rc == 3
     assert any("loads.csv row 3" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("start_step", "NaN"),
+        ("start_step", "1e400"),
+        ("start_step", '"abc"'),
+        ("start_step", "120.7"),
+        ("start_step", '"12"'),
+        ("start_step", "true"),
+        ("format_version", "2"),
+        ("format_version", '"x"'),
+        ("step_seconds", "3600"),
+    ],
+)
+def test_bad_splits_json_value_exits_3(dataset, tmp_path, caplog, field, value):
+    data = tmp_path / "bad"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "splits.json").read_text())
+    node = doc["splits"]["test"] if field == "start_step" else doc
+    node[field] = "@BAD@"
+    (data / "splits.json").write_text(json.dumps(doc).replace('"@BAD@"', value))
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("eval", "--data", data, "--out", tmp_path / "o", "--no-oracle")
+    assert rc == 3
+    assert any("splits.json" in r.message and field in r.message for r in caplog.records)
 
 
 def test_malformed_params_file_exits_3(dataset, tmp_path):

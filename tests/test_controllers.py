@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,40 @@ def test_sigmoid_extreme_inputs_do_not_overflow():
     assert out[0] == 0.0
     assert out[1] == 1.0
     assert np.all(np.isfinite(out))
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid as it was before: each sign's entries gathered by a mask."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_equal_masked_version():
+    special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308,
+               5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, 36.0, -36.0, np.inf, -np.inf]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([special, rng.normal(0.0, 5.0, 2000), rng.normal(0.0, 300.0, 2000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        want = masked_sigmoid(x)
+        batch = sigmoid(x[:4000].reshape(4, 50, 20))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(batch.reshape(-1).view(np.int64), want[:4000].view(np.int64))
+
+
+def test_sigmoid_nan_in_nan_out_without_warning():
+    x = np.array([np.nan, 1.0, -np.nan, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(x)
+    assert np.isnan(out[[0, 2]]).all()
+    assert np.array_equal(out[[1, 3]], masked_sigmoid(x[[1, 3]]))
+    assert sigmoid(np.array(2.0)) == masked_sigmoid(np.array(2.0))
 
 
 def test_relu():

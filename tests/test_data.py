@@ -1,4 +1,5 @@
 import csv
+import json
 from datetime import datetime
 
 import numpy as np
@@ -139,14 +140,79 @@ def test_splits_json_round_trip(tmp_path):
     sc, splits, _ = synth_scenario(n_households=2, split_days=(2, 1, 1), seed=1)
     path = tmp_path / "splits.json"
     write_splits_json(splits, sc.timebase, path)
-    assert read_splits_json(path) == splits
+    assert read_splits_json(path, sc.timebase) == splits
 
 
 def test_splits_json_rejects_garbage(tmp_path):
     path = tmp_path / "splits.json"
     path.write_text("[1, 2]")
     with pytest.raises(ValidationError):
-        read_splits_json(path)
+        read_splits_json(path, Timebase(start=datetime(2026, 3, 2), n_steps=96))
+
+
+# (field, JSON text of the bad value) for a manifest of a 900-s dataset.
+BAD_SPLITS_FIELDS = [
+    ("splits.train.start_step", "NaN"),
+    ("splits.train.start_step", "1e400"),
+    ("splits.train.start_step", '"abc"'),
+    ("splits.train.start_step", "120.7"),
+    ("splits.train.start_step", "0.0"),
+    ("splits.train.start_step", '"12"'),
+    ("splits.train.start_step", "true"),
+    ("splits.tune.end_step", "null"),
+    ("format_version", "2"),
+    ("format_version", '"x"'),
+    ("format_version", "true"),
+    ("step_seconds", "3600"),
+    ("step_seconds", "900.0"),
+]
+
+
+def splits_json_with(field: str, value: str) -> str:
+    """A valid 2/1/1-day manifest of a 900-s dataset with one field's JSON
+    text replaced."""
+    doc = {
+        "format_version": 1,
+        "step_seconds": 900,
+        "splits": {
+            "train": {"start_step": 0, "end_step": 192},
+            "tune": {"start_step": 192, "end_step": 288},
+            "test": {"start_step": 288, "end_step": 384},
+        },
+    }
+    *parents, leaf = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[leaf] = "@BAD@"
+    return json.dumps(doc, indent=2).replace('"@BAD@"', value)
+
+
+@pytest.mark.parametrize("field,value", BAD_SPLITS_FIELDS)
+def test_splits_json_rejects_bad_field(tmp_path, field, value):
+    path = tmp_path / "splits.json"
+    path.write_text(splits_json_with(field, value))
+    tb = Timebase(start=datetime(2026, 3, 2), n_steps=4 * 96)
+    with pytest.raises(ValidationError) as info:
+        read_splits_json(path, tb)
+    assert str(path) in str(info.value)
+    assert field in str(info.value)
+
+
+def test_splits_json_rejects_missing_fields(tmp_path):
+    path = tmp_path / "splits.json"
+    tb = Timebase(start=datetime(2026, 3, 2), n_steps=4 * 96)
+    for field in ("format_version", "step_seconds"):
+        doc = json.loads(splits_json_with("format_version", "1"))
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"missing {field}"):
+            read_splits_json(path, tb)
+    doc = json.loads(splits_json_with("format_version", "1"))
+    del doc["splits"]["test"]["end_step"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="split 'test' needs start_step and end_step"):
+        read_splits_json(path, tb)
 
 
 def test_dataset_directory_round_trip(tmp_path):

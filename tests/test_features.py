@@ -86,6 +86,93 @@ def test_history_block_out_parameter_is_returned():
     assert history_block(buf, 4, out=out) is out
 
 
+def full_scan_history_block(buffer: RollingBuffer, steps_per_hour: int) -> np.ndarray:
+    """history_block as it was before the range was tracked: a full scan of
+    the window for its mean, minimum and maximum at every call."""
+    out = np.empty((buffer.n_rows, 5))
+    cur = buffer.current()
+    win = buffer.window()
+    mean = win.mean(axis=1)
+    out[:, 0] = 1.0
+    np.divide(cur, mean, out=out[:, 0], where=mean > 0)
+    np.subtract(cur, buffer.lagged(1), out=out[:, 1])
+    np.subtract(cur, buffer.lagged(steps_per_hour), out=out[:, 2])
+    np.subtract(cur, buffer.lagged(3 * steps_per_hour), out=out[:, 3])
+    lo = win.min(axis=1)
+    hi = win.max(axis=1)
+    span = hi - lo
+    out[:, 4] = 0.5
+    np.divide(cur - lo, span, out=out[:, 4], where=span > 0)
+    return out
+
+
+# Ties, repeated extremes, both zeros, negatives, huge and subnormal values.
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308)
+CAPACITIES = (1, 2, 3, 24, 96, 288)
+
+
+def pushed_series(data, *, allow_nan: bool, non_negative: bool):
+    """(capacity, rows x pushes series) that wraps the buffer several times,
+    drawn from a small palette so that ties and repeated extremes are common."""
+    capacity = data.draw(st.sampled_from(CAPACITIES), label="capacity")
+    n_rows = data.draw(st.integers(1, 4), label="rows")
+    element = st.one_of(
+        st.sampled_from(SPECIAL_VALUES),
+        st.floats(allow_nan=allow_nan, allow_infinity=False, width=64),
+    )
+    if allow_nan:
+        element = st.one_of(element, st.just(math.nan))
+    if non_negative:
+        element = element.filter(lambda v: not v < 0.0)
+    palette = data.draw(st.lists(element, min_size=1, max_size=6), label="palette")
+    wraps = data.draw(st.integers(2, 4), label="wraps")
+    extra = data.draw(st.integers(0, capacity - 1), label="extra")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(palette), size=(capacity * wraps + extra, n_rows))
+    return capacity, np.asarray(palette, dtype=float)[picks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tracked_range_equals_full_scan(data):
+    capacity, series = pushed_series(data, allow_nan=True, non_negative=False)
+    buf = RollingBuffer(series.shape[1], capacity)
+    for column in series:
+        buf.push(column)
+        win = buf.window()
+        assert np.array_equal(buf.lo, win.min(axis=1), equal_nan=True)
+        assert np.array_equal(buf.hi, win.max(axis=1), equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_history_block_bits_equal_full_scan(data):
+    capacity, series = pushed_series(data, allow_nan=False, non_negative=True)
+    steps_per_hour = data.draw(st.integers(1, capacity), label="steps_per_hour")
+    buf = RollingBuffer(series.shape[1], capacity)
+    for column in series:
+        buf.push(column)
+        with np.errstate(over="ignore"):  # a window sum of huge values is inf
+            got = history_block(buf, steps_per_hour)
+            want = full_scan_history_block(buf, steps_per_hour)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_zero_minimum_keeps_the_full_scan_sign():
+    # The last push leaves -0.0 and 0.0 in the window and evicts 1.0, which
+    # was inside the range. np.minimum keeps the newer zero, the full scan
+    # the one stored last; the sign of the current -0.0's range position
+    # follows whichever the minimum is.
+    buf = RollingBuffer(n_rows=1, capacity=3)
+    for value in (1.0, 2.0, 0.0, -0.0):
+        buf.push(np.array([value]))
+        win = buf.window()
+        assert np.array_equal(buf.lo.view(np.int64), win.min(axis=1).view(np.int64))
+        got = history_block(buf, 1)
+        assert np.array_equal(got.view(np.int64), full_scan_history_block(buf, 1).view(np.int64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
