@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (
+    SECONDS_PER_DAY,
     ChargingRequest,
     Household,
     Scenario,
@@ -31,8 +32,6 @@ from .domain import (
 from .errors import ConfigError, ValidationError
 
 log = logging.getLogger(__name__)
-
-SECONDS_PER_DAY = 86400
 
 DEFAULT_HOUSEHOLDS = 74
 DEFAULT_SPLIT_DAYS = (15, 8, 21)  # train, tune, test
@@ -316,8 +315,9 @@ def read_splits_json(path: str | Path, timebase: Timebase) -> dict[str, tuple[in
 
     Every number must be a JSON integer (not a boolean, not a float):
     `format_version` 1, `step_seconds` equal to the dataset's, and each
-    split's `start_step` and `end_step` with 0 <= start < end <= n_steps.
-    Anything else raises a ValidationError that names the file and field.
+    split's `start_step` and `end_step` with 0 <= start < end <= n_steps,
+    no two splits sharing a step. Anything else raises a ValidationError that
+    names the file and field.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -351,6 +351,13 @@ def read_splits_json(path: str | Path, timebase: Timebase) -> dict[str, tuple[in
                 f"{path}: split {name!r} range [{a},{b}) outside scenario "
                 f"of {timebase.n_steps} steps"
             )
+        for other, (c, d) in splits.items():
+            if a < d and c < b:
+                field = "start_step" if a >= c else "end_step"
+                raise ValidationError(
+                    f"{path}: splits.{name}.{field} makes split {name!r} [{a},{b}) "
+                    f"overlap split {other!r} [{c},{d})"
+                )
         splits[name] = (a, b)
     return splits
 

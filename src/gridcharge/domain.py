@@ -36,9 +36,10 @@ class Timebase:
     step_seconds: int = 900
 
     def __post_init__(self) -> None:
-        if self.step_seconds <= 0 or SECONDS_PER_DAY % self.step_seconds != 0:
+        # Hour-lagged features need whole steps per hour (and so per day).
+        if self.step_seconds <= 0 or 3600 % self.step_seconds != 0:
             raise ValidationError(
-                f"step_seconds must be a positive divisor of 86400, got {self.step_seconds}"
+                f"step_seconds must be a positive divisor of 3600, got {self.step_seconds}"
             )
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
@@ -53,10 +54,6 @@ class Timebase:
 
     @property
     def steps_per_hour(self) -> int:
-        if 3600 % self.step_seconds != 0:
-            raise ValidationError(
-                f"hour-lagged features need step_seconds to divide 3600, got {self.step_seconds}"
-            )
         return 3600 // self.step_seconds
 
     def step_to_datetime(self, t: int) -> datetime:

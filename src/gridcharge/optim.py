@@ -5,9 +5,10 @@ Both trainers treat the simulator as a black box mapping a flat parameter
 vector to the post-warmup standard deviation of total grid load. Every
 optimizer takes that objective as one batch callable, f_batch(list of
 vectors) -> list of values: a CMA-ES generation, the gradient trainer's
-perturbations of one point and its step-size probes are each one batch,
-which the simulator steps together in one loop (split by its batch budget, and
-into one shard per worker process when there are several).
+perturbations of one point and its step-size probes are each one batch, and
+so is the smoothing grid. `Evaluator` is the one place that scores a batch: it
+cuts it into runs within MAX_BATCH_FLOATS, and the simulator steps each run's
+candidates together in one loop, here or in a pool of worker processes.
 CMA-ES is self-contained here; the gradient trainer estimates descent
 directions by forward differences on short simulation windows and validates
 candidate steps on the full training scenario.
@@ -26,7 +27,7 @@ from .controllers import KIND_ESN, ControllerParams, make_controller
 from .domain import Scenario
 from .errors import ConfigError
 from .features import feature_count
-from .simulator import MAX_BATCH_FLOATS, SimKernel, objective_std
+from .simulator import SimKernel, objective_std
 
 STEP_SIZE_GRID = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 SMOOTHING_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
@@ -57,45 +58,33 @@ class OptResult:
 # A batch objective: one value per parameter vector.
 BatchObjective = Callable[[list[np.ndarray]], list[float]]
 
-# (parameter vectors, start step, end step, warmup steps) of one shard of a
-# batch; the vectors are a (candidates, parameters) array.
-Task = tuple[np.ndarray, int, int | None, int | None]
+# Most floats of per-step state that one batch run may hold, counted per
+# candidate x household row as a day of load history plus the controller's
+# state (reservoir or hidden units) and features. An ESN row weighs about
+# twice an NN row, so NN batches run wider.
+MAX_BATCH_FLOATS = 40_000
+
+# (parameter vectors, smoothing weights or None for the template's, start
+# step, end step, warmup steps) of one batch run; the vectors are a
+# (candidates, parameters) array.
+Run = tuple[np.ndarray, Sequence[float] | None, int, int | None, int | None]
 
 
-def _candidates_per_run(kernel: SimKernel, template: ControllerParams) -> int:
-    """As many candidates as one batch run may step within MAX_BATCH_FLOATS:
-    each candidate x household row holds a day of load history, the
-    controller's state (reservoir or hidden units) and its features."""
+def _candidates_per_run(scenario: Scenario, template: ControllerParams) -> int:
+    """As many candidates of `template`'s family as one batch run on
+    `scenario` may step within MAX_BATCH_FLOATS."""
     state = template.reservoir_size if template.kind == KIND_ESN else template.hidden_size
-    row = kernel.timebase.steps_per_day + state + feature_count(template.input_mode)
-    return max(1, MAX_BATCH_FLOATS // (kernel.scenario.n_households * row))
+    row = scenario.timebase.steps_per_day + state + feature_count(template.input_mode)
+    return max(1, MAX_BATCH_FLOATS // (scenario.n_households * row))
 
 
-def _evaluate(
-    kernel: SimKernel,
-    template: ControllerParams,
-    thetas: np.ndarray | Sequence[np.ndarray],
-    smoothing: Sequence[float] | None = None,
-    start: int = 0,
-    end: int | None = None,
-    warmup: int | None = None,
-) -> list[float]:
-    """The training objective on steps [start, end) of each candidate of
-    `template`'s family, given its theta and smoothing weight (default: the
-    template's). Candidates are simulated together, as many per run as
-    _candidates_per_run allows."""
-    thetas = np.asarray(thetas, dtype=float)
-    per_run = _candidates_per_run(kernel, template)
-    values: list[float] = []
-    for i in range(0, len(thetas), per_run):
-        controller = make_controller(
-            template,
-            thetas[i : i + per_run],
-            None if smoothing is None else smoothing[i : i + per_run],
-        )
-        result = kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
-        values += objective_std(result)
-    return values
+def _score_run(kernel: SimKernel, template: ControllerParams, run: Run) -> list[float]:
+    """The objective of each candidate of one run, from one `SimKernel.run`."""
+    thetas, smoothing, start, end, warmup = run
+    controller = make_controller(template, thetas, smoothing)
+    return objective_std(
+        kernel.run(controller, start_step=start, end_step=end, warmup_steps=warmup)
+    )
 
 
 _WORKER_CTX: tuple[SimKernel, ControllerParams] | None = None
@@ -106,27 +95,27 @@ def _worker_init(scenario: Scenario, template: ControllerParams) -> None:
     _WORKER_CTX = (SimKernel(scenario), template)
 
 
-def _worker_eval(task: Task) -> list[float]:
+def _worker_score(run: Run) -> list[float]:
     assert _WORKER_CTX is not None
-    kernel, template = _WORKER_CTX
-    thetas, start, end, warmup = task
-    return _evaluate(kernel, template, thetas, None, start, end, warmup)
+    return _score_run(*_WORKER_CTX, run)
 
 
 class Evaluator:
     """Batch objectives for one scenario and controller family.
 
     `map_full` scores parameter vectors on the whole scenario, `map_window`
-    on a window of it. A batch is simulated in as few step loops as the
-    simulator's batch budget allows; with `workers` > 1 it is cut into one
-    contiguous shard per worker process, and each worker simulates its shard
-    the same way. Use as a context manager so the pool is torn down.
+    on a window of it. A batch is cut, in order, into runs of as many
+    candidates as MAX_BATCH_FLOATS allows, and each run is simulated in one
+    step loop. With `workers` > 1 the runs are handed to a pool of that many
+    worker processes, one run per task; otherwise they are simulated here.
+    Either way every candidate scores exactly what its lone run would. Use as
+    a context manager so the pool is torn down.
     """
 
     def __init__(self, scenario: Scenario, template: ControllerParams, *, workers: int = 1):
         self.template = template
-        self._workers = workers
-        self.kernel: SimKernel | None = None
+        self._per_run = _candidates_per_run(scenario, template)
+        self._kernel: SimKernel | None = None
         self._pool: ProcessPoolExecutor | None = None
         if workers > 1:
             self._pool = ProcessPoolExecutor(
@@ -135,7 +124,7 @@ class Evaluator:
                 initargs=(scenario, template),
             )
         else:
-            self.kernel = SimKernel(scenario)
+            self._kernel = SimKernel(scenario)
 
     def __enter__(self) -> "Evaluator":
         return self
@@ -148,22 +137,32 @@ class Evaluator:
             self._pool.shutdown()
             self._pool = None
 
-    def _map(
-        self, thetas: Sequence[np.ndarray], start: int, end: int | None, warmup: int | None
-    ) -> list[float]:
+    def _map(self, thetas: Sequence[np.ndarray], smoothing: Sequence[float] | None,
+             start: int, end: int | None, warmup: int | None) -> list[float]:
+        """The objective on steps [start, end) of each candidate, given its
+        theta and smoothing weight (default: the template's)."""
+        thetas = np.asarray(thetas, dtype=float)
+        n = self._per_run
+        runs = [
+            (thetas[i : i + n], None if smoothing is None else smoothing[i : i + n],
+             start, end, warmup)
+            for i in range(0, len(thetas), n)
+        ]
         if self._pool is None:
-            return _evaluate(self.kernel, self.template, thetas, None, start, end, warmup)
-        shards = np.array_split(np.asarray(thetas, dtype=float), self._workers)
-        tasks = [(shard, start, end, warmup) for shard in shards if len(shard)]
-        return [f for values in self._pool.map(_worker_eval, tasks) for f in values]
+            scored = (_score_run(self._kernel, self.template, run) for run in runs)
+        else:
+            scored = self._pool.map(_worker_score, runs)
+        return [f for values in scored for f in values]
 
     def map_full(self, thetas: Sequence[np.ndarray]) -> list[float]:
-        return self._map(thetas, 0, None, None)
+        return self._map(thetas, None, 0, None, None)
 
     def map_window(
         self, thetas: Sequence[np.ndarray], start: int, window_steps: int, objective_steps: int
     ) -> list[float]:
-        return self._map(thetas, start, start + window_steps, window_steps - objective_steps)
+        return self._map(
+            thetas, None, start, start + window_steps, window_steps - objective_steps
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +490,8 @@ def tune_smoothing(
     Ties go to the smaller weight.
     """
     grid = [float(beta) for beta in SMOOTHING_GRID]
-    values = _evaluate(SimKernel(scenario), params, [params.theta] * len(grid), grid)
+    with Evaluator(scenario, params) as ev:
+        values = ev._map([params.theta] * len(grid), grid, 0, None, None)
     table = list(zip(grid, values))
     best_beta = min(table, key=lambda row: (row[1], row[0]))[0]
     return replace(params, smoothing=best_beta), table

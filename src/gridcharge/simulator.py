@@ -18,8 +18,8 @@ per-household array gets a leading candidate axis, so the Python cost of a
 step is paid once for all K. Each candidate's numbers are exactly those of
 its lone run, and a failing candidate raises what its lone run raises (the
 first to fail, if several do). The result carries grid load (K, steps) and
-charging (K, households, steps). A batch run may hold at most
-MAX_BATCH_FLOATS floats of per-step state; callers split larger batches.
+charging (K, households, steps). The size of a batch is the caller's to
+bound (`optim.MAX_BATCH_FLOATS`).
 
 Controller contract, as `SimKernel.run` uses it:
   input_mode     the feature mode ("h" or "a") the controller reads, or None
@@ -49,7 +49,6 @@ from .domain import (
     SimResult,
     SimulationIncomplete,
     Timebase,
-    slice_scenario,
 )
 from .errors import SimulationError
 from .features import INPUT_ALL, RollingBuffer, encode_time_of_day, history_block
@@ -57,12 +56,6 @@ from .features import INPUT_ALL, RollingBuffer, encode_time_of_day, history_bloc
 Controller = LearnedController | RuleController
 
 N_LOCAL_FEATURES = 12  # clock + request state + household history block
-
-# Most floats of per-step state that one batch run may hold, counted per
-# candidate x household row as a day of load history plus the controller's
-# state (reservoir or hidden units) and features; callers split larger
-# batches. An ESN row weighs about twice an NN row, so NN batches run wider.
-MAX_BATCH_FLOATS = 40_000
 
 
 def default_warmup(timebase: Timebase, n_steps: int | None = None) -> int:
@@ -343,5 +336,4 @@ __all__ = [
     "write_metrics_json",
     "write_changes_csv",
     "default_warmup",
-    "slice_scenario",
 ]

@@ -323,6 +323,7 @@ USAGE_ERRORS = {
     "sigma0-nan": ["train", "--sigma0", "nan"],
     "window-nan": ["train", "--optimizer", "numgrad", "--window-hours", "nan"],
     "step-not-dividing-a-day": ["gen", "--config", "step_seconds=7"],
+    "step-not-dividing-an-hour": ["gen", "--config", "step_seconds=7200"],
     "step-0": ["gen", "--config", "step_seconds=0"],
 }
 

@@ -160,6 +160,7 @@ BAD_SPLITS_FIELDS = [
     ("splits.train.start_step", '"12"'),
     ("splits.train.start_step", "true"),
     ("splits.tune.end_step", "null"),
+    ("splits.test.start_step", "100"),
     ("format_version", "2"),
     ("format_version", '"x"'),
     ("format_version", "true"),

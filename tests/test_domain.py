@@ -45,6 +45,8 @@ def test_timebase_defaults():
 def test_timebase_rejects_step_not_dividing_day():
     with pytest.raises(ValidationError):
         Timebase(start=MONDAY, n_steps=10, step_seconds=7000)
+    with pytest.raises(ValidationError, match="divisor of 3600"):
+        Timebase(start=MONDAY, n_steps=10, step_seconds=7200)
     with pytest.raises(ValidationError):
         Timebase(start=MONDAY, n_steps=10, step_seconds=0)
     with pytest.raises(ValidationError):

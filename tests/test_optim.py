@@ -11,7 +11,6 @@ from gridcharge.optim import (
     CmaEs,
     Evaluator,
     _candidates_per_run,
-    _evaluate,
     cmaes_minimize,
     finite_difference_gradient,
     minimize_numgrad,
@@ -172,11 +171,12 @@ def test_batch_objectives_equal_lone_runs(crowd, kind, mode):
     rng = np.random.default_rng(6)
     template = init_params(kind, mode, rng, reservoir_size=20)
     kernel = SimKernel(crowd)
-    n_cand = _candidates_per_run(kernel, template) + 2
+    n_cand = _candidates_per_run(crowd, template) + 2
     thetas = template.theta + 0.5 * rng.standard_normal((n_cand, template.theta.size))
     smoothing = rng.uniform(0.0, 1.0, n_cand)
     for start, end, warmup in ((0, None, None), (50, 150, 40)):
-        batch = _evaluate(kernel, template, thetas, smoothing, start, end, warmup)
+        with Evaluator(crowd, template) as ev:
+            batch = ev._map(thetas, smoothing, start, end, warmup)
         lone = [
             objective_std(
                 kernel.run(
@@ -212,11 +212,20 @@ def test_evaluator_window_scores_tail_of_window(tiny):
     assert got == want
 
 
-def test_evaluator_worker_pool_agrees_with_local(tiny):
-    p = init_params(KIND_NN, "h", np.random.default_rng(1))
-    thetas = [p.theta, p.theta * 0.9, p.theta * 1.1]
-    with Evaluator(tiny, p) as local, Evaluator(tiny, p, workers=2) as pooled:
-        assert pooled.map_full(thetas) == local.map_full(thetas)
+def test_evaluator_worker_pool_agrees_with_local(crowd):
+    """Runs spread over worker processes, each candidate with its own
+    smoothing, score exactly what the same runs score in-process."""
+    rng = np.random.default_rng(1)
+    p = init_params(KIND_NN, "a", rng)
+    n_cand = _candidates_per_run(crowd, p) + 2
+    thetas = p.theta + 0.5 * rng.standard_normal((n_cand, p.theta.size))
+    smoothing = rng.uniform(0.0, 1.0, n_cand)
+    with Evaluator(crowd, p) as local, Evaluator(crowd, p, workers=2) as pooled:
+        for start, end, warmup in ((0, None, None), (50, 150, 40)):
+            want = local._map(thetas, smoothing, start, end, warmup)
+            assert pooled._map(thetas, smoothing, start, end, warmup) == want
+            assert len(set(want)) == n_cand
+        assert pooled.map_full(list(thetas)) == local.map_full(list(thetas))
 
 
 def test_train_cma_never_regresses_and_tags_params(tiny):
