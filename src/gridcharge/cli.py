@@ -6,9 +6,9 @@ Subcommands:
   eval   compare controllers and the centralized optimum on a split
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 invalid input data,
-4 simulation failure. A bad value from the command line, a --config entry or
-the environment is usage (2), whichever layer rejects it; a missing or
-malformed dataset, or a malformed params file, is bad data (3).
+4 simulation failure. A bad value from the command line or a --config entry
+is usage (2), whichever layer rejects it; a missing or malformed dataset, or
+a malformed params file, is bad data (3).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import re
 import sys
 import time
@@ -29,7 +28,9 @@ import numpy as np
 from . import data as datamod
 from .controllers import (
     BASELINE_KINDS,
-    ControllerParams,
+    DEFAULT_HIDDEN_SIZE,
+    DEFAULT_LEAK_RATE,
+    DEFAULT_RESERVOIR_SIZE,
     TRAINABLE_KINDS,
     init_params,
     load_params,
@@ -74,21 +75,6 @@ GEN_CONFIG_KEYS = {
 SUMMARY_COLUMNS = ["controller", "std_kw", "min_kw", "p2_5_kw", "p97_5_kw", "max_kw"]
 
 
-def default_workers(flag: int | None = None) -> int:
-    """Evaluation processes: `flag` (--workers) if given, else the
-    GRIDCHARGE_WORKERS environment variable, else 1."""
-    source, value = "--workers", flag
-    if value is None:
-        source, raw = "GRIDCHARGE_WORKERS", os.environ.get("GRIDCHARGE_WORKERS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{source} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
-
-
 def parse_gen_config(pairs: list[str]) -> dict:
     out: dict = {}
     for pair in pairs:
@@ -107,27 +93,23 @@ def parse_gen_config(pairs: list[str]) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # Only the keys the user gave reach synth_scenario, which holds the
+    # defaults of the rest.
     cfg = parse_gen_config(args.config or [])
-    split_days = (
-        cfg.get("train_days", datamod.DEFAULT_SPLIT_DAYS[0]),
-        cfg.get("tune_days", datamod.DEFAULT_SPLIT_DAYS[1]),
-        cfg.get("test_days", datamod.DEFAULT_SPLIT_DAYS[2]),
-    )
-    start = None
+    if "households" in cfg:
+        cfg["n_households"] = cfg.pop("households")
+    split_keys = ("train_days", "tune_days", "test_days")
+    if any(key in cfg for key in split_keys):
+        cfg["split_days"] = tuple(
+            cfg.pop(key, days) for key, days in zip(split_keys, datamod.DEFAULT_SPLIT_DAYS)
+        )
     if "start" in cfg:
         try:
-            start = datetime.fromisoformat(cfg["start"])
+            cfg["start"] = datetime.fromisoformat(cfg["start"])
         except ValueError:
             raise ConfigError(f"config key 'start': bad timestamp {cfg['start']!r}") from None
     try:
-        scenario, splits, travels = datamod.synth_scenario(
-            n_households=cfg.get("households", datamod.DEFAULT_HOUSEHOLDS),
-            split_days=split_days,
-            step_seconds=cfg.get("step_seconds", 900),
-            start=start,
-            charging_share=cfg.get("charging_share", datamod.DEFAULT_CHARGING_SHARE),
-            seed=args.seed,
-        )
+        scenario, splits, travels = datamod.synth_scenario(seed=args.seed, **cfg)
     except ValidationError as exc:
         # Everything the generator validates came from --config.
         raise ConfigError(str(exc)) from None
@@ -175,6 +157,8 @@ class TrainLogWriter:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     scenario, splits = datamod.load_dataset(args.data)
     if "train" in splits:
         train_scenario = datamod.split_scenario(scenario, splits, "train")
@@ -209,7 +193,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         writer = TrainLogWriter(Path(args.log), timestamps=not args.no_timestamps)
         log_fn = writer
 
-    workers = default_workers(args.workers)
     try:
         if args.optimizer == "cma":
             trained, opt = train_cma(
@@ -219,7 +202,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 popsize=args.popsize,
                 sigma0=args.sigma0,
                 seed=opt_seed,
-                workers=workers,
+                workers=args.workers,
                 log_fn=log_fn,
             )
         else:
@@ -243,7 +226,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 window_hours=window_hours,
                 objective_hours=objective_hours,
                 seed=window_seed,
-                workers=workers,
+                workers=args.workers,
                 log_fn=log_fn,
             )
     finally:
@@ -268,7 +251,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     log.info(
         "trained %s in %d iterations (%d evaluations), objective %.4f -> %s",
         trained.name,
-        opt.iterations,
+        args.iterations,
         opt.evaluations,
         opt.fitness,
         args.out,
@@ -403,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_train.add_argument("--window-hours", type=float, default=DEFAULT_WINDOW_HOURS)
     p_train.add_argument("--objective-hours", type=float, default=DEFAULT_OBJECTIVE_HOURS)
-    p_train.add_argument("--hidden-size", type=int, default=5)
-    p_train.add_argument("--reservoir-size", type=int, default=100)
-    p_train.add_argument("--leak-rate", type=float, default=0.1)
+    p_train.add_argument("--hidden-size", type=int, default=DEFAULT_HIDDEN_SIZE)
+    p_train.add_argument("--reservoir-size", type=int, default=DEFAULT_RESERVOIR_SIZE)
+    p_train.add_argument("--leak-rate", type=float, default=DEFAULT_LEAK_RATE)
     p_train.add_argument("--smoothing", type=float, default=None,
                          help="fix the output smoothing weight instead of tuning it")
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--workers", type=int, default=None,
-                         help="parallel evaluation processes (default: GRIDCHARGE_WORKERS or 1)")
+    p_train.add_argument("--workers", type=int, default=1,
+                         help="parallel evaluation processes (default: 1)")
     p_train.add_argument("--log", help="write per-iteration progress to this CSV")
     p_train.add_argument("--no-timestamps", action="store_true",
                          help="zero wall-clock columns for reproducible logs")

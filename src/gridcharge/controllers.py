@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, json_integer
 from .features import INPUT_MODES, feature_count
 
 KIND_NN = "nn"
@@ -32,6 +33,11 @@ TRAINABLE_KINDS = (KIND_NN, KIND_ESN)
 BASELINE_KINDS = (KIND_MAX, KIND_MIN, KIND_CONST)
 
 PARAMS_FORMAT_VERSION = 1
+
+# Network sizes and leak rate of a controller that does not set its own.
+DEFAULT_HIDDEN_SIZE = 5
+DEFAULT_RESERVOIR_SIZE = 100
+DEFAULT_LEAK_RATE = 0.1
 
 INIT_SCALE = 0.1
 
@@ -100,9 +106,9 @@ class ControllerParams:
     input_mode: str
     theta: np.ndarray
     smoothing: float = 0.0
-    hidden_size: int = 5
-    reservoir_size: int = 100
-    leak_rate: float = 0.1
+    hidden_size: int = DEFAULT_HIDDEN_SIZE
+    reservoir_size: int = DEFAULT_RESERVOIR_SIZE
+    leak_rate: float = DEFAULT_LEAK_RATE
     reservoir_seed: int = 0
     name: str | None = None
     trained_with: str | None = None
@@ -121,6 +127,8 @@ class ControllerParams:
                 f"hidden_size and reservoir_size must be >= 1, got {self.hidden_size} "
                 f"and {self.reservoir_size}"
             )
+        if self.reservoir_seed < 0:
+            raise ParameterError(f"reservoir_seed must be >= 0, got {self.reservoir_seed}")
         self.theta = np.asarray(self.theta, dtype=float)
         expected = theta_size_for(
             self.kind, self.input_mode, hidden_size=self.hidden_size,
@@ -134,13 +142,9 @@ class ControllerParams:
         if not np.all(np.isfinite(self.theta)):
             raise ParameterError("controller parameters contain non-finite values")
 
-    def with_theta(self, theta: np.ndarray) -> "ControllerParams":
-        return replace(self, theta=np.asarray(theta, dtype=float))
 
-
-def theta_size_for(
-    kind: str, input_mode: str, *, hidden_size: int = 5, reservoir_size: int = 100
-) -> int:
+def theta_size_for(kind: str, input_mode: str, *, hidden_size: int = DEFAULT_HIDDEN_SIZE,
+                   reservoir_size: int = DEFAULT_RESERVOIR_SIZE) -> int:
     d = feature_count(input_mode)
     if kind == KIND_NN:
         return hidden_size * d + hidden_size + hidden_size + 1
@@ -153,9 +157,9 @@ def init_params(
     rng: np.random.Generator,
     *,
     smoothing: float = 0.0,
-    hidden_size: int = 5,
-    reservoir_size: int = 100,
-    leak_rate: float = 0.1,
+    hidden_size: int = DEFAULT_HIDDEN_SIZE,
+    reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
+    leak_rate: float = DEFAULT_LEAK_RATE,
     reservoir_seed: int | None = None,
 ) -> ControllerParams:
     """Fresh controller parameters with small gaussian weights.
@@ -202,39 +206,66 @@ def save_params(params: ControllerParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ControllerParams:
+    """The parameters of a file written by `save_params`.
+
+    Every field must have its JSON type: `format_version` 1 and the network
+    sizes and reservoir seed JSON integers (not booleans or floats);
+    `smoothing`, `leak_rate` and every `theta` entry finite JSON numbers (not
+    booleans or strings); `name` and `trained_with` a string or null. A field
+    of another type, or a value ControllerParams rejects, raises a
+    ParameterError that names the file and the field.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: expected a JSON object")
-    version = doc.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
-        raise ParameterError(
-            f"{path}: unsupported format_version {version!r}, expected {PARAMS_FORMAT_VERSION}"
-        )
+
+    def typed(field: str, value: object, kind: type) -> object:
+        if kind is int:
+            return json_integer(path, field, value, error=ParameterError)
+        if kind is float:
+            if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+                return float(value)
+        elif type(value) is kind or (kind is str and value is None):
+            return value
+        what = {float: "a finite JSON number", str: "a string or null", dict: "a JSON object",
+                list: "a JSON array"}[kind]
+        raise ParameterError(f"{path}: {field} must be {what}, got {json.dumps(value)}")
+
+    def get(field: str, kind: type, default: object = ...) -> object:
+        """`field`, a key or "section.key", of JSON type `kind`; `default`
+        when it is absent, which only a field with a default may be."""
+        section, _, key = field.rpartition(".")
+        owner = get(section, dict, {}) if section else doc
+        if key in owner:
+            return typed(field, owner[key], kind)
+        if default is ...:
+            raise ParameterError(f"{path}: missing field {field!r}")
+        return default
+
+    json_integer(path, "format_version", doc.get("format_version"), PARAMS_FORMAT_VERSION,
+                 ParameterError)
+    kind = get("kind", str)
+    kwargs = dict(
+        kind=kind,
+        input_mode=get("input_mode", str),
+        smoothing=get("smoothing", float, 0.0),
+        theta=[typed(f"theta[{i}]", v, float) for i, v in enumerate(get("theta", list))],
+        name=get("name", str, None),
+        trained_with=get("trained_with", str, None),
+    )
+    if kind == KIND_NN:
+        kwargs["hidden_size"] = get("nn.hidden_size", int, DEFAULT_HIDDEN_SIZE)
+    elif kind == KIND_ESN:
+        kwargs["reservoir_size"] = get("esn.reservoir_size", int, DEFAULT_RESERVOIR_SIZE)
+        kwargs["leak_rate"] = get("esn.leak_rate", float, DEFAULT_LEAK_RATE)
+        kwargs["reservoir_seed"] = get("esn.seed", int)
     try:
-        kind = doc["kind"]
-        kwargs = dict(
-            kind=kind,
-            input_mode=doc["input_mode"],
-            smoothing=float(doc.get("smoothing", 0.0)),
-            theta=np.asarray(doc["theta"], dtype=float),
-            name=doc.get("name"),
-            trained_with=doc.get("trained_with"),
-        )
-        if kind == KIND_NN:
-            kwargs["hidden_size"] = int(doc.get("nn", {}).get("hidden_size", 5))
-        elif kind == KIND_ESN:
-            esn = doc.get("esn", {})
-            kwargs["reservoir_size"] = int(esn.get("reservoir_size", 100))
-            kwargs["leak_rate"] = float(esn.get("leak_rate", 0.1))
-            kwargs["reservoir_seed"] = int(esn["seed"])
-    except KeyError as exc:
-        raise ParameterError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParameterError(f"{path}: malformed field value ({exc})") from None
-    return ControllerParams(**kwargs)
+        return ControllerParams(**kwargs)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +349,18 @@ class LearnedController:
             theta = params.theta
             self.smoothing = params.smoothing
         else:
-            theta = np.asarray(thetas, dtype=float)
-            self.candidates = len(theta)
-            beta = np.full(self.candidates, params.smoothing) if smoothing is None else (
-                np.asarray(smoothing, dtype=float)
-            )
-            if theta.shape != (self.candidates, params.theta.size) or beta.shape != (
-                self.candidates,
-            ):
+            self.candidates = len(thetas)
+            betas = [params.smoothing] * self.candidates if smoothing is None else smoothing
+            if len(betas) != self.candidates:
                 raise ParameterError(
-                    f"a batch needs one {params.theta.size}-vector and one smoothing weight "
-                    f"per candidate, got {theta.shape} and {beta.shape}"
+                    f"a batch needs one smoothing weight per candidate, got {len(betas)} "
+                    f"for {self.candidates}"
                 )
-            if not np.all(np.isfinite(theta)):
-                raise ParameterError("controller parameters contain non-finite values")
-            if not np.all((beta >= 0.0) & (beta <= 1.0)):
-                raise ParameterError(f"smoothing must be in [0, 1], got {beta}")
-            self.smoothing = beta[:, None]
+            # Each candidate must be valid parameters of the template's family.
+            for t, b in zip(thetas, betas):
+                replace(params, theta=t, smoothing=b)
+            theta = np.asarray(thetas, dtype=float)
+            self.smoothing = np.asarray(betas, dtype=float)[:, None]
         # Weights carry the candidate axis first (none for a lone controller),
         # laid out so that `@` broadcasts over it.
         lead = theta.shape[:-1]

@@ -29,7 +29,7 @@ from .domain import (
     save_scenario,
     slice_scenario,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, json_integer
 
 log = logging.getLogger(__name__)
 
@@ -324,28 +324,19 @@ def read_splits_json(path: str | Path, timebase: Timebase) -> dict[str, tuple[in
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
-    def integer(value: object, field: str, expected: int | None = None) -> int:
-        if type(value) is not int:
-            raise ValidationError(
-                f"{path}: {field} must be a JSON integer, got {json.dumps(value)}"
-            )
-        if expected is not None and value != expected:
-            raise ValidationError(f"{path}: {field} is {value}, expected {expected}")
-        return value
-
     if not isinstance(doc, dict) or not isinstance(doc.get("splits"), dict):
         raise ValidationError(f"{path}: malformed splits manifest")
     for field in ("format_version", "step_seconds"):
         if field not in doc:
             raise ValidationError(f"{path}: missing {field}")
-    integer(doc["format_version"], "format_version", 1)
-    integer(doc["step_seconds"], "step_seconds", timebase.step_seconds)
+    json_integer(path, "format_version", doc["format_version"], 1)
+    json_integer(path, "step_seconds", doc["step_seconds"], timebase.step_seconds)
     splits = {}
     for name, rng in doc["splits"].items():
         if not isinstance(rng, dict) or not {"start_step", "end_step"} <= rng.keys():
             raise ValidationError(f"{path}: split {name!r} needs start_step and end_step")
-        a = integer(rng["start_step"], f"splits.{name}.start_step")
-        b = integer(rng["end_step"], f"splits.{name}.end_step")
+        a = json_integer(path, f"splits.{name}.start_step", rng["start_step"])
+        b = json_integer(path, f"splits.{name}.end_step", rng["end_step"])
         if not (0 <= a < b <= timebase.n_steps):
             raise ValidationError(
                 f"{path}: split {name!r} range [{a},{b}) outside scenario "

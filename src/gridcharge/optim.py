@@ -42,13 +42,13 @@ DEFAULT_OBJECTIVE_HOURS = 48
 
 @dataclass
 class OptResult:
-    """Outcome of one optimization run."""
+    """Outcome of one optimization run: the best point, its objective and the
+    number of objective evaluations spent. The per-iteration progress goes to
+    the trainer's `log_fn`."""
 
     x: np.ndarray
     fitness: float
-    history: list[float]  # best objective so far, index 0 = starting point
     evaluations: int
-    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +130,6 @@ class Evaluator:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -287,39 +284,32 @@ def cmaes_minimize(
     """Run CMA-ES for a fixed number of generations, keeping the best ever.
 
     Each generation is scored in one `f_batch` call. The starting point is
-    evaluated first so a run can never return something worse than what it
-    was given.
+    evaluated first and, if its value is finite, seeds the strategy's best,
+    so a run can never return something worse than what it was given. After
+    every generation `log_fn` gets the best objective so far, the step size
+    and the evaluations spent.
     """
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
-    x0 = np.asarray(x0, dtype=float)
     es = CmaEs(x0, sigma0, popsize=popsize, seed=seed)
-    f0 = float(f_batch([x0])[0])
-    best_x, best_f = x0.copy(), f0 if math.isfinite(f0) else math.inf
-    history = [best_f]
+    f0 = float(f_batch([es.best_x])[0])
+    if math.isfinite(f0):
+        es.best_f = f0
     evaluations = 1
     for it in range(iterations):
         xs = es.ask()
-        fs = f_batch(list(xs))
-        es.tell(xs, fs)
+        es.tell(xs, f_batch(list(xs)))
         evaluations += es.lam
-        if es.best_f < best_f:
-            best_f = es.best_f
-            best_x = es.best_x.copy()
-        history.append(best_f)
         if log_fn is not None:
             log_fn(
                 {
                     "iteration": it + 1,
-                    "best_objective": best_f,
+                    "best_objective": es.best_f,
                     "sigma": es.sigma,
                     "evaluations": evaluations,
                 }
             )
-    return OptResult(
-        x=best_x, fitness=best_f, history=history, evaluations=evaluations,
-        iterations=iterations,
-    )
+    return OptResult(x=es.best_x, fitness=es.best_f, evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +321,14 @@ def finite_difference_gradient(
     f_batch: BatchObjective,
     x: np.ndarray,
     epsilon: float,
-) -> tuple[np.ndarray, float]:
-    """Forward-difference gradient; returns (gradient, f(x))."""
-    points = [x] + [_perturb(x, i, epsilon) for i in range(x.size)]
+) -> np.ndarray:
+    """Forward-difference gradient of `f_batch` at `x`, from one batch of x
+    and its `x.size` perturbations: row i + 1 is x with epsilon added to
+    entry i."""
+    points = np.tile(x, (x.size + 1, 1))
+    np.fill_diagonal(points[1:], x + epsilon)
     values = np.asarray(f_batch(points), dtype=float)
-    return (values[1:] - values[0]) / epsilon, float(values[0])
-
-
-def _perturb(x: np.ndarray, i: int, epsilon: float) -> np.ndarray:
-    out = x.copy()
-    out[i] += epsilon
-    return out
+    return (values[1:] - values[0]) / epsilon
 
 
 def minimize_numgrad(
@@ -366,11 +353,10 @@ def minimize_numgrad(
         raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
     x = np.asarray(x0, dtype=float).copy()
     f_cur = float(eval_full([x])[0])
-    history = [f_cur]
     evaluations = 1
     for it in range(iterations):
         window_eval = make_window_eval()
-        grad, _ = finite_difference_gradient(window_eval, x, epsilon)
+        grad = finite_difference_gradient(window_eval, x, epsilon)
         evaluations += x.size + 1
         chosen = None
         if np.any(grad != 0.0) and np.all(np.isfinite(grad)):
@@ -382,7 +368,6 @@ def minimize_numgrad(
                 x = candidates[k]
                 f_cur = float(fs[k])
                 chosen = STEP_SIZE_GRID[k]
-        history.append(f_cur)
         if log_fn is not None:
             log_fn(
                 {
@@ -392,8 +377,7 @@ def minimize_numgrad(
                     "evaluations": evaluations,
                 }
             )
-    return OptResult(x=x, fitness=f_cur, history=history, evaluations=evaluations,
-                     iterations=iterations)
+    return OptResult(x=x, fitness=f_cur, evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +406,7 @@ def train_cma(
             seed=seed,
             log_fn=log_fn,
         )
-    trained = replace(params0.with_theta(result.x), trained_with="cma")
+    trained = replace(params0, theta=result.x, trained_with="cma")
     return trained, result
 
 
@@ -476,7 +460,7 @@ def train_numgrad(
             epsilon=epsilon,
             log_fn=log_fn,
         )
-    trained = replace(params0.with_theta(result.x), trained_with="numgrad")
+    trained = replace(params0, theta=result.x, trained_with="numgrad")
     return trained, result
 
 

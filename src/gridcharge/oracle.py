@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Scenario, SimResult, Timebase
+from .domain import Scenario, SimResult
 from .errors import SimulationError
 from .simulator import default_warmup
 

@@ -51,11 +51,16 @@ from .domain import (
     Timebase,
 )
 from .errors import SimulationError
-from .features import INPUT_ALL, RollingBuffer, encode_time_of_day, history_block
+from .features import FEATURE_NAMES_GRID, INPUT_ALL, INPUT_HOUSEHOLD, RollingBuffer, feature_count
+from .features import encode_time_of_day, history_block
 
 Controller = LearnedController | RuleController
 
-N_LOCAL_FEATURES = 12  # clock + request state + household history block
+# The household features end with the household's history block; grid mode
+# appends the grid's.
+N_LOCAL_FEATURES = feature_count(INPUT_HOUSEHOLD)
+N_HISTORY = len(FEATURE_NAMES_GRID)
+OWN_HISTORY = slice(N_LOCAL_FEATURES - N_HISTORY, N_LOCAL_FEATURES)
 
 
 def default_warmup(timebase: Timebase, n_steps: int | None = None) -> int:
@@ -191,16 +196,15 @@ class SimKernel:
         x = buf = hist = obs = obs_rows = hist_rows = None
         if needs_features:
             steps_per_hour = tb.steps_per_hour
-            width = N_LOCAL_FEATURES + (5 if grid_mode else 0)
-            x = np.zeros(lead + (n_house, width))
+            x = np.zeros(lead + (n_house, feature_count(controller.input_mode)))
             # One extra buffer row per candidate carries its grid total, so
             # the whole history block is computed in a single pass.
             rows = n_house + 1 if grid_mode else n_house
             obs = np.empty(lead + (rows,))
             buf = RollingBuffer(obs.size, tb.steps_per_day)
-            hist = np.empty(lead + (rows, 5))
+            hist = np.empty(lead + (rows, N_HISTORY))
             obs_rows = obs.reshape(-1)
-            hist_rows = hist.reshape(-1, 5)
+            hist_rows = hist.reshape(-1, N_HISTORY)
 
         grid = np.empty(lead + (n_out,))
         charging = np.zeros(lead + (n_house, n_out))
@@ -236,9 +240,9 @@ class SimKernel:
                 x[..., 5] = flat * self.inv_max_kw[t] * active
                 x[..., 6] = x[..., 5]
                 history_block(buf, steps_per_hour, out=hist_rows)
-                x[..., 7:12] = hist[..., :n_house, :]
+                x[..., OWN_HISTORY] = hist[..., :n_house, :]
                 if grid_mode:
-                    x[..., 12:17] = hist[..., n_house, None, :]
+                    x[..., N_LOCAL_FEATURES:] = hist[..., n_house, None, :]
 
             req = RequestState(
                 active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
@@ -291,7 +295,7 @@ def result_metrics(result: SimResult) -> dict[str, float | int]:
     post = result.grid_load[result.warmup_steps :]
     step_hours = result.timebase.step_hours
     return {
-        "std_kw": float(np.std(post)),
+        "std_kw": objective_std(result),
         "min_kw": float(np.min(post)),
         "p2_5_kw": float(np.percentile(post, 2.5)),
         "p97_5_kw": float(np.percentile(post, 97.5)),
@@ -325,15 +329,3 @@ def write_changes_csv(result: SimResult, path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         f.write("change_kw\r\n")
         f.write("".join([f"{v!r}\r\n" for v in load_changes(result).tolist()]))
-
-
-__all__ = [
-    "SimKernel",
-    "objective_std",
-    "load_changes",
-    "result_metrics",
-    "write_loads_out_csv",
-    "write_metrics_json",
-    "write_changes_csv",
-    "default_warmup",
-]

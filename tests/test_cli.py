@@ -8,8 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
-from gridcharge.cli import _safe_name, default_workers, main, parse_gen_config
-from gridcharge.controllers import load_params, make_controller
+from gridcharge.cli import _safe_name, main, parse_gen_config
+from gridcharge.controllers import init_params, load_params, make_controller, save_params
 from gridcharge.data import load_dataset, split_scenario
 from gridcharge.optim import SMOOTHING_GRID
 
@@ -310,6 +310,17 @@ def test_malformed_params_file_exits_3(dataset, tmp_path):
     assert rc == 3
 
 
+def test_params_file_with_non_string_name_exits_3(dataset, tmp_path, caplog):
+    path = tmp_path / "p.json"
+    save_params(init_params("nn", "h", np.random.default_rng(0)), path)
+    doc = json.loads(path.read_text())
+    doc["name"] = 123
+    path.write_text(json.dumps(doc))
+    rc = run("eval", "--data", dataset, "--out", tmp_path / "o", "--params", path, "--no-oracle")
+    assert rc == 3
+    assert any(str(path) in r.message and "name" in r.message for r in caplog.records)
+
+
 # Bad values given on the command line are usage errors, whichever layer
 # rejects them.
 USAGE_ERRORS = {
@@ -361,21 +372,6 @@ def test_missing_params_file_exits_2(dataset, tmp_path):
         "--params", tmp_path / "absent.json", "--no-oracle",
     )
     assert rc == 2
-
-
-def test_default_workers(monkeypatch):
-    monkeypatch.delenv("GRIDCHARGE_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("GRIDCHARGE_WORKERS", "3")
-    assert default_workers() == 3
-    from gridcharge.errors import ConfigError
-
-    monkeypatch.setenv("GRIDCHARGE_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        default_workers()
-    monkeypatch.setenv("GRIDCHARGE_WORKERS", "lots")
-    with pytest.raises(ConfigError):
-        default_workers()
 
 
 def test_safe_name():

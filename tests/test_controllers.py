@@ -110,6 +110,7 @@ def test_theta_size_matches_params():
         dict(leak_rate=1.2),
         dict(hidden_size=0, theta=np.zeros(1)),
         dict(kind=KIND_ESN, reservoir_size=0, theta=np.zeros(13)),
+        dict(kind=KIND_ESN, reservoir_seed=-1, theta=np.zeros(113)),
     ],
 )
 def test_params_validation(kwargs):
@@ -201,17 +202,37 @@ def test_load_params_reports_missing_field(tmp_path):
         ("nn", {"hidden_size": "five"}),
         ("nn", 5),
         ("esn", {"seed": "x"}),
+        ("format_version", True),
+        ("format_version", 1.0),
+        ("esn", {"seed": 7.9}),
+        ("esn", {"seed": "12"}),
+        ("esn", {"seed": 3, "reservoir_size": 20.9}),
+        ("esn", {"seed": 3, "leak_rate": "0.3"}),
+        ("smoothing", True),
+        ("theta", [True]),
+        ("theta", 1.5),
+        ("name", 123),
+        ("name", ["x"]),
+        ("trained_with", 1),
+        ("nn", {"hidden_size": True}),
+        pytest.param("smoothing", 10**400, id="smoothing-huge-int"),
     ],
 )
 def test_load_params_reports_malformed_field(tmp_path, field, value):
+    """A field of the wrong JSON type is not coerced: the error names the
+    file and the field."""
     p = init_params(KIND_ESN if field == "esn" else KIND_NN, "h", np.random.default_rng(0))
     path = tmp_path / "p.json"
     save_params(p, path)
     doc = json.loads(path.read_text())
     doc[field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParameterError, match="malformed"):
+    with pytest.raises(ParameterError) as err:
         load_params(path)
+    # A section's malformed key is the last one the case sets.
+    name = f"{field}.{list(value)[-1]}" if isinstance(value, dict) else field
+    assert str(path) in str(err.value)
+    assert name in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_batch_non_finite_candidate_fails_at_its_lone_step():
     kernel = SimKernel(sc)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError, match="non-finite load at step") as lone:
-            kernel.run(make_controller(template.with_theta(bad)))
+            kernel.run(make_controller(replace(template, theta=bad)))
         with pytest.raises(SimulationError) as batch:
             kernel.run(make_controller(template, [template.theta, bad, 0.5 * template.theta]))
     assert str(batch.value) == str(lone.value)
