@@ -14,6 +14,7 @@ a malformed params file, is bad data (3).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -38,7 +39,7 @@ from .controllers import (
     save_params,
 )
 from .domain import Scenario, SimResult
-from .errors import ConfigError, GridChargeError, SimulationError, ValidationError
+from .errors import ConfigError, GridChargeError, ValidationError
 from .oracle import REL_TOL as ORACLE_REL_TOL, optimal_schedule
 from .optim import (
     DEFAULT_EPSILON,
@@ -53,7 +54,7 @@ from .optim import (
 )
 from .simulator import (
     SimKernel,
-    default_warmup,
+    no_charge_result,
     result_metrics,
     write_changes_csv,
     write_loads_out_csv,
@@ -127,9 +128,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 class TrainLogWriter:
-    """Appends one CSV row per optimizer iteration."""
+    """Appends one CSV row per optimizer iteration. As a context manager it
+    closes the file on exit, and deletes it when training failed before the
+    first row."""
 
     def __init__(self, path: Path, timestamps: bool):
+        self.path = path
+        self.rows = 0
         self.file = open(path, "w", newline="")
         self.writer = csv.writer(self.file)
         self.writer.writerow(
@@ -151,9 +156,15 @@ class TrainLogWriter:
             ]
         )
         self.file.flush()
+        self.rows += 1
 
-    def close(self) -> None:
+    def __enter__(self) -> TrainLogWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.file.close()
+        if exc_type is not None and self.rows == 0:
+            self.path.unlink()
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -187,13 +198,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         reservoir_seed=reservoir_seed,
     )
 
-    writer = None
-    log_fn = None
-    if args.log:
-        writer = TrainLogWriter(Path(args.log), timestamps=not args.no_timestamps)
-        log_fn = writer
-
-    try:
+    log_writer = (
+        TrainLogWriter(Path(args.log), timestamps=not args.no_timestamps)
+        if args.log else contextlib.nullcontext()
+    )
+    with log_writer as log_fn:
         if args.optimizer == "cma":
             trained, opt = train_cma(
                 train_scenario,
@@ -206,32 +215,17 @@ def cmd_train(args: argparse.Namespace) -> int:
                 log_fn=log_fn,
             )
         else:
-            window_hours = args.window_hours
-            objective_hours = args.objective_hours
-            tb = train_scenario.timebase
-            scenario_hours = tb.n_steps * tb.step_hours
-            if window_hours > scenario_hours:
-                log.warning(
-                    "evaluation window of %.0fh exceeds the %.0fh training split; clamping",
-                    window_hours,
-                    scenario_hours,
-                )
-                objective_hours = scenario_hours * objective_hours / window_hours
-                window_hours = scenario_hours
             trained, opt = train_numgrad(
                 train_scenario,
                 params0,
                 iterations=args.iterations,
                 epsilon=args.epsilon,
-                window_hours=window_hours,
-                objective_hours=objective_hours,
+                window_hours=args.window_hours,
+                objective_hours=args.objective_hours,
                 seed=window_seed,
                 workers=args.workers,
                 log_fn=log_fn,
             )
-    finally:
-        if writer is not None:
-            writer.close()
 
     if args.smoothing is None:
         if "tune" in splits:
@@ -259,16 +253,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _no_charge_result(scenario: Scenario) -> SimResult:
-    base = scenario.baseline_matrix()
-    return SimResult(
-        timebase=scenario.timebase,
-        grid_load=base.sum(axis=0),
-        per_household_charging=np.zeros_like(base),
-        warmup_steps=default_warmup(scenario.timebase),
-    )
-
-
 def _controller_results(
     scenario: Scenario, params_paths: list[str]
 ) -> list[tuple[str, SimResult]]:
@@ -276,7 +260,7 @@ def _controller_results(
     simulated on one kernel. The kernel's tables are freed on return, before
     the oracle allocates its own."""
     kernel = SimKernel(scenario)
-    rows = [("no_charge", _no_charge_result(scenario))]
+    rows = [("no_charge", no_charge_result(scenario))]
     for kind in BASELINE_KINDS:
         rows.append((kind, kernel.run(make_controller(kind))))
     for path in params_paths:
@@ -422,21 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (GridChargeError, OSError) as exc:
         log.error("%s", exc)
-        return 2
-    except SimulationError as exc:
-        log.error("%s", exc)
-        return 4
-    except ValidationError as exc:
-        log.error("%s", exc)
-        return 3
-    except GridChargeError as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
-        log.error("%s", exc)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

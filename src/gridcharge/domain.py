@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -108,12 +109,15 @@ class ChargingRequest:
                 f"request for {self.household_id}: t_arrive={self.t_arrive} must be < "
                 f"t_depart={self.t_depart}"
             )
-        if self.required_energy < 0:
+        if not 0 <= self.required_energy < math.inf:
             raise ValidationError(
-                f"request for {self.household_id}: required_energy must be >= 0"
+                f"request for {self.household_id}: required_energy must be finite and >= 0, "
+                f"got {self.required_energy}"
             )
-        if self.max_kw <= 0:
-            raise ValidationError(f"request for {self.household_id}: max_kw must be > 0")
+        if not 0 < self.max_kw < math.inf:
+            raise ValidationError(
+                f"request for {self.household_id}: max_kw must be finite and > 0, got {self.max_kw}"
+            )
 
     @property
     def total_steps(self) -> int:
@@ -227,10 +231,6 @@ def slice_scenario(scenario: Scenario, start_step: int, end_step: int) -> Scenar
             )
         )
     return Scenario(timebase=new_tb, households=tuple(households))
-
-
-class SimulationIncomplete(ValidationError):
-    """A request reached its departure with energy still owed."""
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,10 @@ def load_scenario(directory: str | Path) -> Scenario:
                     f"loads.csv row {i}: household {hid} timestamp {stamp} is step {step}, "
                     f"expected step {len(values)}"
                 )
-            if kw < 0:
-                raise ValidationError(f"loads.csv row {i}: negative baseline_kw {kw}")
+            if not 0 <= kw < math.inf:
+                raise ValidationError(
+                    f"loads.csv row {i}: baseline_kw must be finite and >= 0, got {text!r}"
+                )
             values.append(kw)
     if grid is None:
         raise ValidationError("loads.csv: no data rows")
@@ -413,8 +415,6 @@ def load_scenario(directory: str | Path) -> Scenario:
                 depart = _parse_iso(row[2], "t_depart_iso", i, "requests.csv")
                 kwh = _parse_float(row[3], "required_kwh", i, "requests.csv")
                 max_kw = _parse_float(row[4], "max_kw", i, "requests.csv")
-                if kwh <= 0:
-                    continue  # zero-energy requests are dropped before simulation
                 try:
                     req = ChargingRequest(
                         household_id=hid,
@@ -425,7 +425,8 @@ def load_scenario(directory: str | Path) -> Scenario:
                     )
                 except ValidationError as exc:
                     raise ValidationError(f"requests.csv row {i}: {exc}") from None
-                requests[hid].append(req)
+                if kwh != 0:  # zero-energy requests are dropped before simulation
+                    requests[hid].append(req)
 
     households = tuple(
         Household(

@@ -1,11 +1,20 @@
 """Exception hierarchy shared across the toolkit, and the integer rule of its
-JSON files."""
+JSON files.
+
+Each error class carries the command line's exit code for it, which its
+subclasses inherit: 2 for bad usage or configuration (`GridChargeError`,
+`ConfigError`), 3 for input data that breaks a documented invariant
+(`ValidationError`, `ParameterError`) and 4 for a failed simulation
+(`SimulationError`, `SimulationIncomplete`).
+"""
 
 import json
 
 
 class GridChargeError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class ConfigError(GridChargeError):
@@ -15,6 +24,8 @@ class ConfigError(GridChargeError):
 class ValidationError(GridChargeError):
     """Input data violates a documented invariant (bad CSV row, infeasible request, ...)."""
 
+    exit_code = 3
+
 
 class ParameterError(ValidationError):
     """Controller parameters are dimensionally or structurally inconsistent."""
@@ -22,6 +33,12 @@ class ParameterError(ValidationError):
 
 class SimulationError(GridChargeError):
     """Numerical failure during a simulation run (non-finite state, broken invariant)."""
+
+    exit_code = 4
+
+
+class SimulationIncomplete(SimulationError):
+    """A request reached its departure with energy still owed."""
 
 
 def json_integer(path: object, field: str, value: object, expected: int | None = None,

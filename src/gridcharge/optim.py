@@ -16,6 +16,7 @@ candidate steps on the full training scenario.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,6 +39,8 @@ DEFAULT_SIGMA0 = 0.3
 DEFAULT_EPSILON = 1e-4
 DEFAULT_WINDOW_HOURS = 72
 DEFAULT_OBJECTIVE_HOURS = 48
+
+log = logging.getLogger("gridcharge")
 
 
 @dataclass
@@ -411,22 +414,32 @@ def train_cma(
 
 
 def window_steps_for(scenario: Scenario, window_hours: float, objective_hours: float) -> tuple[int, int]:
+    """The numgrad evaluation window and its scored tail, in steps of
+    `scenario`. A window longer than the scenario is clamped to it with a
+    warning, and its scored part shrinks in proportion. Raises ConfigError
+    unless both are finite and the window exceeds its scored part, which is
+    at least one step."""
     if not (math.isfinite(window_hours) and math.isfinite(objective_hours)):
         raise ConfigError(
             f"evaluation window ({window_hours}h) and its scored part ({objective_hours}h) "
             f"must be finite"
         )
     tb = scenario.timebase
+    scenario_hours = tb.n_steps * tb.step_hours
+    if window_hours > scenario_hours:
+        log.warning(
+            "evaluation window of %.0fh exceeds the %.0fh training split; clamping",
+            window_hours,
+            scenario_hours,
+        )
+        objective_hours = scenario_hours * objective_hours / window_hours
+        window_hours = scenario_hours
     window = int(round(window_hours * 3600 / tb.step_seconds))
     objective = int(round(objective_hours * 3600 / tb.step_seconds))
     if objective < 1 or window <= objective:
         raise ConfigError(
             f"evaluation window ({window_hours}h) must exceed its scored part "
             f"({objective_hours}h)"
-        )
-    if window > tb.n_steps:
-        raise ConfigError(
-            f"evaluation window of {window} steps does not fit a {tb.n_steps}-step scenario"
         )
     return window, objective
 

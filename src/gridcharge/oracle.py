@@ -28,13 +28,13 @@ causal controller can score below the oracle's spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domain import Scenario, SimResult
 from .errors import SimulationError
-from .simulator import default_warmup
+from .simulator import default_warmup, no_charge_result
 
 REL_TOL = 1e-9  # converged: duality gap at most REL_TOL * max(1, objective)
 ROW_SUM_RTOL = 1e-12  # a projected row matches its target to this share of its cap
@@ -150,23 +150,17 @@ def optimal_schedule(
     n_steps = tb.n_steps
     if warmup_steps is None:
         warmup_steps = default_warmup(tb)
-    base_total = scenario.baseline_matrix().sum(axis=0)
-
     requests = scenario.all_requests()
+    if not requests:
+        result = replace(no_charge_result(scenario), warmup_steps=warmup_steps)
+        return OracleResult(result=result, converged=True, iterations=0, duality_gap=0.0)
+
+    base_total = scenario.baseline_matrix().sum(axis=0)
     house_of: list[int] = []
     for hi, h in enumerate(scenario.households):
         house_of.extend([hi] * len(h.requests))
     n_req = len(requests)
     n_house = scenario.n_households
-
-    if n_req == 0:
-        result = SimResult(
-            timebase=tb,
-            grid_load=base_total.copy(),
-            per_household_charging=np.zeros((n_house, n_steps)),
-            warmup_steps=warmup_steps,
-        )
-        return OracleResult(result=result, converged=True, iterations=0, duality_gap=0.0)
 
     lengths = np.array([r.total_steps for r in requests])
     width = int(lengths.max())

@@ -42,15 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import LearnedController, RequestState, RuleController
-from .domain import (
-    ENERGY_TOL_KWH,
-    FINISH_TOL_KWH,
-    Scenario,
-    SimResult,
-    SimulationIncomplete,
-    Timebase,
-)
-from .errors import SimulationError
+from .domain import ENERGY_TOL_KWH, FINISH_TOL_KWH, Scenario, SimResult, Timebase
+from .errors import SimulationError, SimulationIncomplete
 from .features import FEATURE_NAMES_GRID, INPUT_ALL, INPUT_HOUSEHOLD, RollingBuffer, feature_count
 from .features import encode_time_of_day, history_block
 
@@ -68,6 +61,17 @@ def default_warmup(timebase: Timebase, n_steps: int | None = None) -> int:
     n = timebase.n_steps if n_steps is None else n_steps
     per_day = timebase.steps_per_day
     return per_day if n > per_day else 0
+
+
+def no_charge_result(scenario: Scenario) -> SimResult:
+    """The scenario with no car charging: grid load is the baseline total."""
+    base = scenario.baseline_matrix()
+    return SimResult(
+        timebase=scenario.timebase,
+        grid_load=base.sum(axis=0),
+        per_household_charging=np.zeros_like(base),
+        warmup_steps=default_warmup(scenario.timebase),
+    )
 
 
 class SimKernel:

@@ -3,14 +3,27 @@
 import csv
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridcharge import cli
 from gridcharge.cli import _safe_name, main, parse_gen_config
 from gridcharge.controllers import init_params, load_params, make_controller, save_params
 from gridcharge.data import load_dataset, split_scenario
+from gridcharge.errors import (
+    ConfigError,
+    GridChargeError,
+    ParameterError,
+    SimulationError,
+    SimulationIncomplete,
+    ValidationError,
+)
 from gridcharge.optim import SMOOTHING_GRID
 
 # Seed 7: 4/1/2 charging requests in train/tune/test. Overnight requests
@@ -301,6 +314,33 @@ def test_bad_splits_json_value_exits_3(dataset, tmp_path, caplog, field, value):
     assert any("splits.json" in r.message and field in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize(
+    "file,fields",
+    [
+        ("requests.csv", {"required_kwh": "nan"}),
+        ("requests.csv", {"required_kwh": "-5"}),
+        ("requests.csv", {"max_kw": "nan"}),
+        ("requests.csv", {"max_kw": "inf"}),
+        ("requests.csv", {"required_kwh": "0", "max_kw": "nan"}),
+        ("loads.csv", {"baseline_kw": "nan"}),
+        ("loads.csv", {"baseline_kw": "inf"}),
+    ],
+)
+def test_bad_number_in_dataset_csv_exits_3(dataset, tmp_path, caplog, file, fields):
+    data = tmp_path / "bad"
+    shutil.copytree(dataset, data)
+    with open(data / file, newline="") as f:
+        rows = list(csv.reader(f))
+    for column, value in fields.items():
+        rows[1][rows[0].index(column)] = value  # file row 2
+    with open(data / file, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("eval", "--data", data, "--out", tmp_path / "o", "--split", "all")
+    assert rc == 3
+    assert any(f"{file} row 2" in r.message for r in caplog.records)
+
+
 def test_malformed_params_file_exits_3(dataset, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -343,17 +383,19 @@ USAGE_ERRORS = {
 def test_usage_errors_exit_2(dataset, tmp_path, argv):
     command, *flags = argv
     out = tmp_path / "out"
+    log = tmp_path / "log.csv"
     if command == "gen":
         rc = run("gen", "--out", out, *flags)
     else:
         # argparse keeps the last value of a repeated flag, so `flags` override
         # the small budget before them.
         rc = run(
-            "train", "--data", dataset, "--out", out,
+            "train", "--data", dataset, "--out", out, "--log", log,
             "--iterations", 1, "--popsize", 4, "--workers", 1, *flags,
         )
     assert rc == 2
     assert not out.exists()
+    assert not log.exists()
 
 
 @pytest.mark.parametrize("flag", ["--hidden-size", "--reservoir-size"])
@@ -378,3 +420,41 @@ def test_safe_name():
     assert _safe_name("nn-a+cma") == "nn-a+cma"
     assert _safe_name("my controller/v2") == "my_controller_v2"
     assert _safe_name("///") == "controller"
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (GridChargeError, 2),
+        (ConfigError, 2),
+        (OSError, 2),
+        (ValidationError, 3),
+        (ParameterError, 3),
+        (SimulationError, 4),
+        (SimulationIncomplete, 4),
+    ],
+)
+def test_each_error_class_exits_with_its_code(monkeypatch, tmp_path, caplog, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("eval", "--data", tmp_path, "--out", tmp_path / "o")
+    assert rc == code
+    assert any(r.message == "boom" for r in caplog.records)
+
+
+def test_process_exit_status(tmp_path):
+    # The child process imports the same gridcharge as this one.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def status(*argv):
+        command = [sys.executable, "-m", "gridcharge.cli", *map(str, argv)]
+        return subprocess.run(command, env=env, capture_output=True).returncode
+
+    assert status("gen", "--out", tmp_path / "d", "--config", "step_seconds=7") == 2
+    assert not (tmp_path / "d").exists()
+    assert status("eval", "--data", tmp_path / "absent", "--out", tmp_path / "o") == 3

@@ -1,5 +1,6 @@
 """Core data model: timebase math, validation, CSV IO."""
 
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -88,6 +89,9 @@ def test_request_validation():
         ChargingRequest("h0", t_arrive=0, t_depart=4, required_energy=-1, max_kw=3)
     with pytest.raises(ValidationError):
         ChargingRequest("h0", t_arrive=0, t_depart=4, required_energy=1, max_kw=0)
+    for energy, max_kw in [(math.nan, 3), (math.inf, 3), (1, math.nan), (1, math.inf)]:
+        with pytest.raises(ValidationError, match="finite"):
+            ChargingRequest("h0", t_arrive=0, t_depart=4, required_energy=energy, max_kw=max_kw)
 
 
 def test_scenario_rejects_wrong_baseline_length():

@@ -287,8 +287,8 @@ def test_window_steps_for_converts_hours():
     with pytest.raises(ConfigError):
         window_steps_for(scenario, 12, 12)
     train = split_scenario(scenario, splits, "tune")  # one day
-    with pytest.raises(ConfigError, match="does not fit"):
-        window_steps_for(train, 72, 48)
+    # Clamped to the 24 h split, with the scored part shrunk to 24 * 48 / 72 h.
+    assert window_steps_for(train, 72, 48) == (96, 64)
 
 
 def test_train_numgrad_improves_monotonically(tiny):

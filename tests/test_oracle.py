@@ -10,7 +10,7 @@ from gridcharge.controllers import BASELINE_KINDS, KIND_CONST, KIND_MAX, KIND_MI
 from gridcharge.data import synth_scenario
 from gridcharge.domain import ChargingRequest, Household, Scenario, Timebase
 from gridcharge.oracle import OracleResult, optimal_schedule, project_capped_simplex
-from gridcharge.simulator import SimKernel, objective_std
+from gridcharge.simulator import SimKernel, no_charge_result, objective_std
 
 MONDAY = datetime(2026, 3, 2)
 
@@ -186,6 +186,8 @@ def test_oracle_without_requests_returns_baseline():
     assert res.converged
     assert res.iterations == 0
     assert res.duality_gap == 0.0
+    assert np.array_equal(res.result.grid_load, no_charge_result(sc).grid_load)
+    assert optimal_schedule(sc, warmup_steps=3).result.warmup_steps == 3
 
 
 def test_oracle_beats_const_when_deferral_helps():

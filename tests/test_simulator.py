@@ -20,10 +20,9 @@ from gridcharge.domain import (
     Household,
     Scenario,
     SimResult,
-    SimulationIncomplete,
     Timebase,
 )
-from gridcharge.errors import SimulationError
+from gridcharge.errors import SimulationError, SimulationIncomplete
 from gridcharge.simulator import (
     SimKernel,
     default_warmup,
