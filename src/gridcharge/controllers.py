@@ -330,9 +330,13 @@ class LearnedController:
     arrays and `candidates` is K. Every product is a np.matmul broadcast over
     the candidate axis, so each candidate gets exactly its lone arithmetic.
 
-    The policy is evaluated every step so internal state (reservoir, filter
-    memory) stays warm; households without an active request have their
-    output forced to zero and their filter memory cleared.
+    Households without an active request have their output forced to zero
+    and their filter memory cleared. That memory is all the state a
+    feedforward network keeps, so `nn` declares `idle_is_reset`: at a step
+    where no household has an open request it commands 0 kW everywhere and
+    ends in its reset state, and the simulator skips the step. An echo state
+    network must be stepped every step, because its reservoir integrates the
+    features whether or not a request is open.
     """
 
     def __init__(
@@ -343,6 +347,7 @@ class LearnedController:
     ):
         self.params = params
         self.input_mode = params.input_mode
+        self.idle_is_reset = params.kind == KIND_NN
         self.d_in = feature_count(params.input_mode)
         if thetas is None:
             self.candidates = None
@@ -433,6 +438,7 @@ class RuleController:
 
     input_mode = None
     candidates = None
+    idle_is_reset = True
 
     def __init__(self, kind: str):
         if kind not in BASELINE_KINDS:

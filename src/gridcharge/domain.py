@@ -126,6 +126,21 @@ class ChargingRequest:
     def max_deliverable_kwh(self, step_hours: float) -> float:
         return self.max_kw * self.total_steps * step_hours
 
+    def check_fits(self, timebase: Timebase) -> None:
+        """Raise ValidationError unless the request lies within the timebase
+        and its window can deliver its energy."""
+        if self.t_arrive < 0 or self.t_depart > timebase.n_steps:
+            raise ValidationError(
+                f"household {self.household_id}: request [{self.t_arrive},{self.t_depart}) "
+                f"outside scenario of {timebase.n_steps} steps"
+            )
+        deliverable = self.max_deliverable_kwh(timebase.step_hours)
+        if self.required_energy > deliverable + FINISH_TOL_KWH:
+            raise ValidationError(
+                f"household {self.household_id}: request at step {self.t_arrive} needs "
+                f"{self.required_energy:.6f} kWh but can deliver at most {deliverable:.6f} kWh"
+            )
+
 
 @dataclass(frozen=True)
 class Household:
@@ -169,17 +184,7 @@ class Scenario:
                         f"household {h.household_id}: requests overlap or are unsorted "
                         f"near step {req.t_arrive}"
                     )
-                if req.t_arrive < 0 or req.t_depart > tb.n_steps:
-                    raise ValidationError(
-                        f"household {h.household_id}: request [{req.t_arrive},{req.t_depart}) "
-                        f"outside scenario of {tb.n_steps} steps"
-                    )
-                if req.required_energy > req.max_deliverable_kwh(tb.step_hours) + FINISH_TOL_KWH:
-                    raise ValidationError(
-                        f"household {h.household_id}: request at step {req.t_arrive} needs "
-                        f"{req.required_energy:.6f} kWh but can deliver at most "
-                        f"{req.max_deliverable_kwh(tb.step_hours):.6f} kWh"
-                    )
+                req.check_fits(tb)
                 prev_depart = req.t_depart
 
     @property
@@ -323,6 +328,11 @@ def load_scenario(directory: str | Path) -> Scenario:
     order, repeated or skipping a step is an error; errors cite the
     offending file and row number. Rows stream through: each distinct
     timestamp is parsed once.
+
+    Every requests.csv row, a zero-energy one included, must lie within the
+    scenario, ask no more energy than its window can deliver, and not
+    overlap another row of its household (an overlap names the later of the
+    two rows). Zero-energy requests are then dropped.
     """
     directory = Path(directory)
     loads_path = directory / "loads.csv"
@@ -396,7 +406,8 @@ def load_scenario(directory: str | Path) -> Scenario:
                 f"loads.csv: household {hid} has {len(values)} rows, expected {n_steps}"
             )
 
-    requests: dict[str, list[ChargingRequest]] = {hid: [] for hid in series}
+    # household id -> (request, file row) pairs, zero-energy rows included
+    requests: dict[str, list[tuple[ChargingRequest, int]]] = {hid: [] for hid in series}
     if requests_path.exists():
         with open(requests_path, newline="") as f:
             reader = csv.reader(f)
@@ -423,17 +434,25 @@ def load_scenario(directory: str | Path) -> Scenario:
                         required_energy=kwh,
                         max_kw=max_kw,
                     )
+                    req.check_fits(tb)
                 except ValidationError as exc:
                     raise ValidationError(f"requests.csv row {i}: {exc}") from None
-                if kwh != 0:  # zero-energy requests are dropped before simulation
-                    requests[hid].append(req)
+                requests[hid].append((req, i))
 
-    households = tuple(
-        Household(
+    households = []
+    for hid, pairs in requests.items():
+        pairs.sort(key=lambda pair: pair[0].t_arrive)
+        for (prev, prev_row), (req, row) in zip(pairs, pairs[1:]):
+            if req.t_arrive < prev.t_depart:
+                first, later = sorted((prev_row, row))
+                raise ValidationError(
+                    f"requests.csv row {later}: household {hid}: request overlaps the one "
+                    f"of row {first}"
+                )
+        households.append(Household(
             household_id=hid,
             baseline_load=np.asarray(series[hid], dtype=float),
-            requests=tuple(sorted(requests[hid], key=lambda r: r.t_arrive)),
-        )
-        for hid in series
-    )
-    return Scenario(timebase=tb, households=households)
+            # zero-energy requests are dropped before simulation
+            requests=tuple(req for req, _ in pairs if req.required_energy != 0),
+        ))
+    return Scenario(timebase=tb, households=tuple(households))

@@ -31,7 +31,17 @@ Controller contract, as `SimKernel.run` uses it:
                  the step's RequestState, whose energy owed and active flags
                  are ([K,] households) and whose request tables are
                  (households,); returns the commanded charging speeds in kW,
-                 shaped ([K,] households)"""
+                 shaped ([K,] households)
+  idle_is_reset  optional; when true, the controller promises that at an idle
+                 step (one where no household has an open request) it
+                 commands 0 kW everywhere and ends in the state `reset` leaves
+
+For a controller that declares `idle_is_reset`, `run` does not step idle
+steps: it audits departures, pushes the load history (which still carries
+the previous step's delivery), calls `reset` once at the start of each idle
+stretch, and records the baseline total as the grid load. The output arrays
+are bit for bit those of stepping every step. A controller without the
+attribute is stepped at every step."""
 
 from __future__ import annotations
 
@@ -137,6 +147,8 @@ class SimKernel:
             for t, (rows, vals) in arrivals.items()
         }
         self.departures = {t: np.asarray(rows, dtype=np.intp) for t, rows in departures.items()}
+        # Steps at which no household has an open request.
+        self.idle = ~self.covered.any(axis=1)
 
     @staticmethod
     def _first_failure(failed: np.ndarray, score: np.ndarray) -> tuple[int, int]:
@@ -173,6 +185,12 @@ class SimKernel:
         Requests that arrived before start_step are skipped: a window has no
         way to know how much of them was already served. A batch controller
         gives a result with a leading candidate axis.
+
+        A non-finite grid load raises SimulationError at its step. An idle
+        step of an `idle_is_reset` controller commands nothing, so nothing
+        non-finite can come from it: such a controller's non-finite output
+        is seen at the first step with an open request, in a lone run and a
+        batch alike.
         """
         tb = self.timebase
         end = tb.n_steps if end_step is None else end_step
@@ -213,55 +231,69 @@ class SimKernel:
         grid = np.empty(lead + (n_out,))
         charging = np.zeros(lead + (n_house, n_out))
         remaining = np.zeros(lead + (n_house,))
-        delivered = np.zeros(lead + (n_house,))
+        delivered = no_delivery = np.zeros(lead + (n_house,))
 
+        idle = self.idle if getattr(controller, "idle_is_reset", False) else None
+        in_idle_stretch = True  # the controller is in its reset state
         for t in range(start_step, end):
             self._audit_departures(t, remaining)
-            arrival = self.arrivals.get(t)
-            if arrival is not None:
-                remaining[..., arrival[0]] = arrival[1]
-
-            active = self.covered[t] & (remaining > FINISH_TOL_KWH)
-            stuck = remaining > self.headroom_tol[t]
-            if stuck.any():
-                k, h = self._first_failure(stuck, remaining - self.headroom_tol[t])
-                raise SimulationIncomplete(
-                    f"household {self.scenario.households[h].household_id} cannot finish "
-                    f"its request from step {t}: "
-                    f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
-                )
-
             if needs_features:
                 np.add(self.base[:, t], delivered, out=obs[..., :n_house])
                 if grid_mode:
                     obs[..., n_house] = obs[..., :n_house].sum(axis=-1)
                 buf.push(obs_rows)
-                x[..., 0:3] = self.clock[t]
-                np.multiply(self.frac_steps[t], active, out=x[..., 3])
-                x[..., 4] = remaining * self.inv_required[t] * active
-                flat = remaining * self.inv_rem_energy[t]
-                np.minimum(flat, self.max_kw[t], out=flat)
-                x[..., 5] = flat * self.inv_max_kw[t] * active
-                x[..., 6] = x[..., 5]
-                history_block(buf, steps_per_hour, out=hist_rows)
-                x[..., OWN_HISTORY] = hist[..., :n_house, :]
-                if grid_mode:
-                    x[..., N_LOCAL_FEATURES:] = hist[..., n_house, None, :]
-
-            req = RequestState(
-                active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
-                self.max_kw[t], dh,
-            )
-            speeds = controller.step(x, req)
-            delivered = np.minimum(speeds, np.maximum(remaining, 0.0) * inv_dh)
 
             i = t - start_step
-            charging[..., i] = delivered
-            total = self.base_total[t] + delivered.sum(axis=-1)
+            if idle is not None and idle[t]:
+                # No request is open: the controller would command 0 kW and
+                # end the step in its reset state, so only the history moves.
+                if not in_idle_stretch:
+                    controller.reset(n_house)
+                    delivered = no_delivery
+                    in_idle_stretch = True
+                total = self.base_total[t] + 0.0
+            else:
+                in_idle_stretch = False
+                arrival = self.arrivals.get(t)
+                if arrival is not None:
+                    remaining[..., arrival[0]] = arrival[1]
+
+                active = self.covered[t] & (remaining > FINISH_TOL_KWH)
+                stuck = remaining > self.headroom_tol[t]
+                if stuck.any():
+                    k, h = self._first_failure(stuck, remaining - self.headroom_tol[t])
+                    raise SimulationIncomplete(
+                        f"household {self.scenario.households[h].household_id} cannot finish "
+                        f"its request from step {t}: "
+                        f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
+                    )
+
+                if needs_features:
+                    x[..., 0:3] = self.clock[t]
+                    np.multiply(self.frac_steps[t], active, out=x[..., 3])
+                    x[..., 4] = remaining * self.inv_required[t] * active
+                    flat = remaining * self.inv_rem_energy[t]
+                    np.minimum(flat, self.max_kw[t], out=flat)
+                    x[..., 5] = flat * self.inv_max_kw[t] * active
+                    x[..., 6] = x[..., 5]
+                    history_block(buf, steps_per_hour, out=hist_rows)
+                    x[..., OWN_HISTORY] = hist[..., :n_house, :]
+                    if grid_mode:
+                        x[..., N_LOCAL_FEATURES:] = hist[..., n_house, None, :]
+
+                req = RequestState(
+                    active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
+                    self.max_kw[t], dh,
+                )
+                speeds = controller.step(x, req)
+                delivered = np.minimum(speeds, np.maximum(remaining, 0.0) * inv_dh)
+                charging[..., i] = delivered
+                remaining -= delivered * dh
+                total = self.base_total[t] + delivered.sum(axis=-1)
+
             if not (math.isfinite(total) if lone else np.isfinite(total).all()):
                 raise SimulationError(f"controller produced a non-finite load at step {t}")
             grid[..., i] = total
-            remaining -= delivered * dh
 
         self._audit_departures(end, remaining)
 

@@ -244,17 +244,51 @@ def test_load_scenario_rejects_unknown_household_request(tmp_path):
         load_scenario(tmp_path)
 
 
-def test_load_scenario_drops_zero_energy_requests(tmp_path):
-    scenario = one_household(n_steps=4)
-    save_scenario(scenario, tmp_path)
+def _write_requests(tmp_path, scenario, rows):
+    """Replace the saved requests.csv with `rows` of (arrive step, depart
+    step, required kWh, max kW) for household h000; data rows start at file
+    row 2."""
     req_path = tmp_path / "requests.csv"
     header = req_path.read_text().splitlines()[0]
     tb = scenario.timebase
-    row = ",".join(
-        ["h000", tb.step_to_datetime(0).isoformat(), tb.step_to_datetime(2).isoformat(), "0.0", "4.0"]
-    )
-    req_path.write_text(header + "\n" + row + "\n")
+    lines = [
+        ",".join(["h000", tb.step_to_datetime(a).isoformat(), tb.step_to_datetime(d).isoformat(),
+                  repr(kwh), repr(kw)])
+        for a, d, kwh, kw in rows
+    ]
+    req_path.write_text("\n".join([header, *lines]) + "\n")
+
+
+def test_load_scenario_drops_zero_energy_requests(tmp_path):
+    scenario = one_household(n_steps=4)
+    save_scenario(scenario, tmp_path)
+    _write_requests(tmp_path, scenario, [(0, 2, 0.0, 4.0)])
     assert load_scenario(tmp_path).all_requests() == []
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # departs after the scenario's 8 steps
+        (((0, 2, 1.0, 4.0), (4, 12, 1.0, 4.0)), "row 3: household h000: request .4,12. outside"),
+        # a zero-energy row is checked before it is dropped
+        (((0, 2, 1.0, 4.0), (4, 12, 0.0, 4.0)), "row 3: household h000: request .4,12. outside"),
+        # 2 steps at 4 kW deliver at most 2 kWh
+        (((0, 2, 2.5, 4.0), (4, 6, 1.0, 4.0)), "row 2: household h000: request at step 0 needs"),
+        # overlap names the later row, whichever request arrives first
+        (((0, 4, 1.0, 4.0), (2, 6, 1.0, 4.0)), "row 3: .* overlaps the one of row 2"),
+        (((2, 6, 1.0, 4.0), (0, 4, 1.0, 4.0)), "row 3: .* overlaps the one of row 2"),
+        (((0, 4, 1.0, 4.0), (5, 6, 1.0, 4.0), (3, 5, 0.0, 4.0)),
+         "row 4: .* overlaps the one of row 2"),
+    ],
+)
+def test_load_scenario_names_the_row_of_a_request_that_does_not_fit(tmp_path, rows, message):
+    scenario = one_household(n_steps=8)
+    save_scenario(scenario, tmp_path)
+    _write_requests(tmp_path, scenario, rows)
+    with pytest.raises(ValidationError, match=f"^requests.csv {message}") as exc:
+        load_scenario(tmp_path)
+    assert exc.value.exit_code == 3
 
 
 def test_load_scenario_rejects_household_starting_late(tmp_path):

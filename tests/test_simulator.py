@@ -75,6 +75,22 @@ class NanController:
         return np.full(len(req.active), np.nan)
 
 
+class EveryStep:
+    """Test-only wrapper that forwards a controller's contract but does not
+    declare `idle_is_reset`, so the simulator steps it at every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_mode = inner.input_mode
+        self.candidates = inner.candidates
+
+    def reset(self, n_households):
+        self.inner.reset(n_households)
+
+    def step(self, x, req):
+        return self.inner.step(x, req)
+
+
 def test_default_warmup_is_one_day_when_affordable():
     tb = Timebase(start=MONDAY, n_steps=4 * 96)
     assert default_warmup(tb) == 96
@@ -193,6 +209,87 @@ def test_non_finite_controller_output_is_an_error():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     with pytest.raises(SimulationError, match="non-finite"):
         SimKernel(sc).run(NanController(), warmup_steps=0)
+
+
+def test_controller_without_idle_is_reset_is_stepped_at_idle_steps():
+    # No request is open before step 4, so step 0 is idle; a controller that
+    # does not declare idle_is_reset is still stepped there.
+    sc = one_request_scenario(ChargingRequest("h0", 4, 8, 1.0, 8.0))
+    assert SimKernel(sc).idle[0]
+    with pytest.raises(SimulationError, match="non-finite load at step 0$"):
+        SimKernel(sc).run(NanController(), warmup_steps=0)
+
+
+def _idle_sign_scenario(step_seconds):
+    """Three households with idle stretches, whose baselines hold -0.0: all
+    three at every third step and the first at two steps of three."""
+    sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), step_seconds=step_seconds,
+                              seed=5)
+    base = sc.baseline_matrix()
+    base[:, ::3] = -0.0
+    base[0, 1::3] = -0.0
+    households = tuple(
+        replace(h, baseline_load=row) for h, row in zip(sc.households, base)
+    )
+    return replace(sc, households=households)
+
+
+@pytest.mark.parametrize("step_seconds", [300, 900, 3600])
+def test_skipping_idle_steps_changes_no_bit(step_seconds):
+    sc = _idle_sign_scenario(step_seconds)
+    kernel = SimKernel(sc)
+    idle = kernel.idle
+    assert idle.any() and not idle.all()
+    # a window start inside an idle stretch: idle before, at and after it
+    inside = np.flatnonzero(idle[:-2] & idle[1:-1] & idle[2:]) + 1
+    start = int(inside[len(inside) // 2])
+    rng = np.random.default_rng(2)
+    controllers = [make_controller(kind) for kind in (KIND_MAX, KIND_MIN, KIND_CONST)]
+    for mode in ("h", "a"):
+        template = init_params(KIND_NN, mode, rng, smoothing=0.3)
+        thetas = template.theta + rng.standard_normal((4, template.theta.size))
+        controllers.append(make_controller(template))
+        # Smoothing 0.9 lags behind, so the deadline floor delivers on the
+        # last step before an idle stretch and the history must carry it.
+        controllers.append(make_controller(template, thetas, [0.0, 0.3, 0.9, 1.0]))
+    for controller in controllers:
+        assert controller.idle_is_reset
+        for window in ({}, {"start_step": start, "warmup_steps": 0}):
+            skipped = kernel.run(controller, **window)
+            stepped = kernel.run(EveryStep(controller), **window)
+            assert skipped.grid_load.tobytes() == stepped.grid_load.tobytes()
+            charging = skipped.per_household_charging
+            assert charging.tobytes() == stepped.per_household_charging.tobytes()
+
+
+def test_esn_is_stepped_at_idle_steps():
+    template = init_params(KIND_ESN, "h", np.random.default_rng(0), reservoir_size=20)
+    assert not make_controller(template).idle_is_reset
+    assert not make_controller(template, [template.theta] * 2).idle_is_reset
+
+
+def test_non_finite_nn_fails_at_the_first_open_request():
+    # On a weekday every hidden unit's input is 1e308 (weekday weight) plus
+    # 1e308 (bias), which overflows; inf times the zero output weights makes
+    # the policy's output NaN at every step. No request is open before step
+    # 4: those steps are skipped, unless the controller is stepped at every
+    # step.
+    sc = one_request_scenario(ChargingRequest("h0", 4, 8, 1.0, 8.0))
+    template = init_params(KIND_NN, "h", np.random.default_rng(0))
+    h, d = template.hidden_size, 12
+    bad = np.zeros_like(template.theta)
+    bad[2 : h * d : d] = 1e308
+    bad[h * d : h * d + h] = 1e308
+    lone = make_controller(replace(template, theta=bad))
+    batch = make_controller(template, [template.theta, bad])
+    kernel = SimKernel(sc)
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for controller in (lone, batch, EveryStep(lone), EveryStep(batch)):
+            with pytest.raises(SimulationError) as exc:
+                kernel.run(controller, warmup_steps=0)
+            messages.append(str(exc.value))
+    assert messages == [f"controller produced a non-finite load at step {t}" for t in (4, 4, 0, 0)]
 
 
 class BatchSchedule:
