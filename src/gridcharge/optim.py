@@ -64,8 +64,16 @@ BatchObjective = Callable[[list[np.ndarray]], list[float]]
 # Most floats of per-step state that one batch run may hold, counted per
 # candidate x household row as a day of load history plus the controller's
 # state (reservoir or hidden units) and features. An ESN row weighs about
-# twice an NN row, so NN batches run wider.
-MAX_BATCH_FLOATS = 40_000
+# twice an NN row, so NN batches run wider. Not counted: each run's
+# (candidates, households, steps) charging record, which grows with the
+# run's length rather than with its per-step working set. Every run pays the
+# step loop's per-call overhead once, so fewer, wider runs train faster.
+# 80,000 floats (625 KiB, under a third of a 2 MiB per-core L2) was the knee
+# of a perfbench sweep over 40k, 80k, 160k and no cap on a 2-core x86-64
+# host: against 40k it cut train time by a quarter for nn on 74 households
+# and by 7% for esn on 20; 160k gained at most 3% more, for 2 MiB more peak
+# memory on the esn workload, and no cap 11 MiB more.
+MAX_BATCH_FLOATS = 80_000
 
 # (parameter vectors, smoothing weights or None for the template's, start
 # step, end step, warmup steps) of one batch run; the vectors are a
@@ -287,21 +295,26 @@ def cmaes_minimize(
     """Run CMA-ES for a fixed number of generations, keeping the best ever.
 
     Each generation is scored in one `f_batch` call. The starting point is
-    evaluated first and, if its value is finite, seeds the strategy's best,
-    so a run can never return something worse than what it was given. After
-    every generation `log_fn` gets the best objective so far, the step size
-    and the evaluations spent.
+    scored in the first call, ahead of the first generation (alone when
+    `iterations` is 0); sampling a generation does not depend on its value.
+    If that value is finite it seeds the strategy's best before the first
+    generation is told, so a run can never return something worse than what
+    it was given. After every generation `log_fn` gets the best objective so
+    far, the step size and the evaluations spent.
     """
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     es = CmaEs(x0, sigma0, popsize=popsize, seed=seed)
-    f0 = float(f_batch([es.best_x])[0])
+    xs = es.ask() if iterations else ()
+    f0, *values = f_batch([es.best_x, *xs])
     if math.isfinite(f0):
-        es.best_f = f0
+        es.best_f = float(f0)
     evaluations = 1
     for it in range(iterations):
-        xs = es.ask()
-        es.tell(xs, f_batch(list(xs)))
+        if it:
+            xs = es.ask()
+            values = f_batch(list(xs))
+        es.tell(xs, values)
         evaluations += es.lam
         if log_fn is not None:
             log_fn(

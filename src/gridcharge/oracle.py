@@ -34,7 +34,7 @@ import numpy as np
 
 from .domain import Scenario, SimResult
 from .errors import SimulationError
-from .simulator import default_warmup, no_charge_result
+from .simulator import no_charge_result, resolve_warmup
 
 REL_TOL = 1e-9  # converged: duality gap at most REL_TOL * max(1, objective)
 ROW_SUM_RTOL = 1e-12  # a projected row matches its target to this share of its cap
@@ -145,11 +145,11 @@ def optimal_schedule(
     spread (like every other result in the toolkit) is computed after
     warmup. Every CHECK_EVERY iterations the duality gap is computed, and
     the solver stops as converged once it is at most `rel_tol * max(1, f)`.
+    A negative warmup, or one that leaves no step, raises SimulationError.
     """
     tb = scenario.timebase
     n_steps = tb.n_steps
-    if warmup_steps is None:
-        warmup_steps = default_warmup(tb)
+    warmup_steps = resolve_warmup(tb, warmup_steps)
     requests = scenario.all_requests()
     if not requests:
         result = replace(no_charge_result(scenario), warmup_steps=warmup_steps)

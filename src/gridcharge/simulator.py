@@ -73,6 +73,20 @@ def default_warmup(timebase: Timebase, n_steps: int | None = None) -> int:
     return per_day if n > per_day else 0
 
 
+def resolve_warmup(timebase: Timebase, warmup_steps: int | None, n_steps: int | None = None) -> int:
+    """The warmup of a run of `n_steps` (default: the whole timebase):
+    `warmup_steps`, or `default_warmup` when it is None. Raises
+    SimulationError unless it is at least 0 and leaves a step to score."""
+    n = timebase.n_steps if n_steps is None else n_steps
+    if warmup_steps is None:
+        return default_warmup(timebase, n)
+    if warmup_steps < 0:
+        raise SimulationError(f"warmup of {warmup_steps} steps is negative")
+    if warmup_steps >= n:
+        raise SimulationError(f"warmup of {warmup_steps} steps leaves nothing of a {n}-step run")
+    return warmup_steps
+
+
 def no_charge_result(scenario: Scenario) -> SimResult:
     """The scenario with no car charging: grid load is the baseline total."""
     base = scenario.baseline_matrix()
@@ -197,12 +211,7 @@ class SimKernel:
         if not (0 <= start_step < end <= tb.n_steps):
             raise SimulationError(f"bad simulation range [{start_step},{end})")
         n_out = end - start_step
-        if warmup_steps is None:
-            warmup_steps = default_warmup(tb, n_out)
-        if warmup_steps >= n_out:
-            raise SimulationError(
-                f"warmup of {warmup_steps} steps leaves nothing of a {n_out}-step run"
-            )
+        warmup_steps = resolve_warmup(tb, warmup_steps, n_out)
 
         n_house = self.scenario.n_households
         dh = tb.step_hours

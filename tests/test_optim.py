@@ -80,15 +80,63 @@ def test_cmaes_best_is_monotone_and_strict():
 
 
 def test_cmaes_non_finite_start_takes_first_finite_candidate():
+    x0 = np.ones(2)
     calls = []
 
     def f(points):
         calls.append(np.array(points))
-        return [float("nan")] if len(calls) == 1 else [sphere(p) for p in points]
+        return [float("nan") if np.array_equal(p, x0) else sphere(p) for p in points]
 
-    res = cmaes_minimize(f, np.ones(2), sigma0=0.3, iterations=1, popsize=4, seed=0)
-    candidates = calls[1]
+    res = cmaes_minimize(f, x0, sigma0=0.3, iterations=1, popsize=4, seed=0)
+    candidates = calls[0][1:]
     assert res.fitness == min(sphere(p) for p in candidates)
+
+
+def _cmaes_scoring_x0_alone(f_batch, x0, *, sigma0, iterations, popsize, seed, log_fn):
+    """Reference CMA-ES loop that scores the starting point in a call of its
+    own before the first generation."""
+    es = CmaEs(x0, sigma0, popsize=popsize, seed=seed)
+    f0 = float(f_batch([es.best_x])[0])
+    if np.isfinite(f0):
+        es.best_f = f0
+    evaluations = 1
+    for it in range(iterations):
+        xs = es.ask()
+        es.tell(xs, f_batch(list(xs)))
+        evaluations += es.lam
+        log_fn({"iteration": it + 1, "best_objective": es.best_f, "sigma": es.sigma,
+                "evaluations": evaluations})
+    return es.best_x, es.best_f, evaluations
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 7])
+def test_cmaes_scores_x0_with_the_first_generation(iterations):
+    """x0 leads the first batch, each later generation is one batch, and the
+    progress record and result equal those of scoring x0 on its own."""
+    x0 = np.full(4, 1.5)
+    popsize = 6
+    calls, rows = [], []
+
+    def f(points):
+        calls.append(np.array(points))
+        return [sphere(p) for p in points]
+
+    res = cmaes_minimize(
+        f, x0, sigma0=0.4, iterations=iterations, popsize=popsize, seed=9, log_fn=rows.append
+    )
+    assert np.array_equal(calls[0][0], x0)
+    sizes = [1] if iterations == 0 else [1 + popsize] + [popsize] * (iterations - 1)
+    assert [len(c) for c in calls] == sizes
+    assert res.evaluations == 1 + iterations * popsize
+
+    ref_rows = []
+    ref_x, ref_f, ref_evals = _cmaes_scoring_x0_alone(
+        batch_of(sphere), x0, sigma0=0.4, iterations=iterations, popsize=popsize, seed=9,
+        log_fn=ref_rows.append,
+    )
+    assert rows == ref_rows
+    assert (res.fitness, res.evaluations) == (ref_f, ref_evals)
+    assert np.array_equal(res.x, ref_x)
 
 
 def test_cmaes_survives_non_finite_regions():
@@ -203,6 +251,19 @@ def crowd():
     return split_scenario(scenario, splits, "train")
 
 
+def lone_scores(kernel, template, thetas, smoothing, start, end, warmup):
+    """Each candidate's objective from a lone `SimKernel.run` of its own."""
+    return [
+        objective_std(
+            kernel.run(
+                make_controller(replace(template, theta=theta, smoothing=float(beta))),
+                start_step=start, end_step=end, warmup_steps=warmup,
+            )
+        )
+        for theta, beta in zip(thetas, smoothing)
+    ]
+
+
 @pytest.mark.parametrize("kind", [KIND_NN, KIND_ESN])
 @pytest.mark.parametrize("mode", ["h", "a"])
 def test_batch_objectives_equal_lone_runs(crowd, kind, mode):
@@ -218,15 +279,7 @@ def test_batch_objectives_equal_lone_runs(crowd, kind, mode):
     for start, end, warmup in ((0, None, None), (50, 150, 40)):
         with Evaluator(crowd, template) as ev:
             batch = ev._map(thetas, smoothing, start, end, warmup)
-        lone = [
-            objective_std(
-                kernel.run(
-                    make_controller(replace(template, theta=theta, smoothing=float(beta))),
-                    start_step=start, end_step=end, warmup_steps=warmup,
-                )
-            )
-            for theta, beta in zip(thetas, smoothing)
-        ]
+        lone = lone_scores(kernel, template, thetas, smoothing, start, end, warmup)
         assert batch == lone
         assert len(set(lone)) == n_cand
 
@@ -255,17 +308,19 @@ def test_evaluator_window_scores_tail_of_window(tiny):
 
 def test_evaluator_worker_pool_agrees_with_local(crowd):
     """Runs spread over worker processes, each candidate with its own
-    smoothing, score exactly what the same runs score in-process."""
+    smoothing, score exactly what the same runs score in-process and what
+    each candidate's lone run scores."""
     rng = np.random.default_rng(1)
     p = init_params(KIND_NN, "a", rng)
     n_cand = _candidates_per_run(crowd, p) + 2
     thetas = p.theta + 0.5 * rng.standard_normal((n_cand, p.theta.size))
     smoothing = rng.uniform(0.0, 1.0, n_cand)
+    kernel = SimKernel(crowd)
     with Evaluator(crowd, p) as local, Evaluator(crowd, p, workers=2) as pooled:
         for start, end, warmup in ((0, None, None), (50, 150, 40)):
             want = local._map(thetas, smoothing, start, end, warmup)
             assert pooled._map(thetas, smoothing, start, end, warmup) == want
-            assert len(set(want)) == n_cand
+            assert want == lone_scores(kernel, p, thetas, smoothing, start, end, warmup)
         assert pooled.map_full(list(thetas)) == local.map_full(list(thetas))
 
 
@@ -279,6 +334,24 @@ def test_train_cma_never_regresses_and_tags_params(tiny):
     assert res.fitness == rows[-1]["best_objective"]
     assert trained.trained_with == "cma"
     assert trained.kind == KIND_NN
+
+
+def test_train_cma_steps_each_generation_in_one_run(tiny, monkeypatch):
+    """When a generation plus the starting point fits one batch run, training
+    costs one simulation loop per generation."""
+    p0 = init_params(KIND_NN, "h", np.random.default_rng(2))
+    popsize, iterations = 4, 3
+    assert _candidates_per_run(tiny, p0) >= popsize + 1
+    runs = []
+    real_run = SimKernel.run
+
+    def counting_run(self, controller, **kwargs):
+        runs.append(controller.candidates)
+        return real_run(self, controller, **kwargs)
+
+    monkeypatch.setattr(SimKernel, "run", counting_run)
+    train_cma(tiny, p0, iterations=iterations, popsize=popsize, seed=0)
+    assert runs == [popsize + 1] + [popsize] * (iterations - 1)
 
 
 def test_window_steps_for_converts_hours():

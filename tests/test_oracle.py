@@ -9,6 +9,7 @@ from gridcharge import oracle as oracle_module
 from gridcharge.controllers import BASELINE_KINDS, KIND_CONST, KIND_MAX, KIND_MIN, make_controller
 from gridcharge.data import synth_scenario
 from gridcharge.domain import ChargingRequest, Household, Scenario, Timebase
+from gridcharge.errors import SimulationError
 from gridcharge.oracle import OracleResult, optimal_schedule, project_capped_simplex
 from gridcharge.simulator import SimKernel, no_charge_result, objective_std
 
@@ -188,6 +189,14 @@ def test_oracle_without_requests_returns_baseline():
     assert res.duality_gap == 0.0
     assert np.array_equal(res.result.grid_load, no_charge_result(sc).grid_load)
     assert optimal_schedule(sc, warmup_steps=3).result.warmup_steps == 3
+
+
+@pytest.mark.parametrize("warmup", [-3, 4])
+def test_oracle_rejects_a_warmup_that_is_negative_or_leaves_nothing(warmup):
+    h = Household("h0", np.full(4, 1.0), requests=(ChargingRequest("h0", 0, 4, 1.0, 4.0),))
+    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=4), households=(h,))
+    with pytest.raises(SimulationError, match=f"warmup of {warmup} steps"):
+        optimal_schedule(sc, warmup_steps=warmup)
 
 
 def test_oracle_beats_const_when_deferral_helps():

@@ -440,10 +440,13 @@ def test_bad_simulation_range_rejected(bounds):
         SimKernel(sc).run(make_controller(KIND_MAX), start_step=start, end_step=end)
 
 
-def test_warmup_cannot_swallow_the_whole_run():
+@pytest.mark.parametrize("warmup", [8, -1])
+def test_warmup_cannot_swallow_the_whole_run(warmup):
+    """A warmup must leave a step to score and cannot be negative; the error
+    names the value."""
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
-    with pytest.raises(SimulationError, match="warmup"):
-        SimKernel(sc).run(make_controller(KIND_MAX), warmup_steps=8)
+    with pytest.raises(SimulationError, match=f"warmup of {warmup} steps"):
+        SimKernel(sc).run(make_controller(KIND_MAX), warmup_steps=warmup)
 
 
 def test_kernel_reuse_is_deterministic():
