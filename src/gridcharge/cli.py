@@ -121,7 +121,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         args.out,
         scenario.n_households,
         scenario.timebase.n_steps,
-        len(scenario.all_requests()),
+        len(scenario.requests),
         share,
     )
     return 0
@@ -281,7 +281,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         eval_scenario = scenario
     else:
         eval_scenario = datamod.split_scenario(scenario, splits, args.split)
-    if not eval_scenario.all_requests():
+    if not eval_scenario.requests:
         log.warning(
             "the %r split holds no charging request; every controller will score as no_charge",
             args.split,

@@ -213,11 +213,12 @@ def load_params(path: str | Path) -> ControllerParams:
     `smoothing`, `leak_rate` and every `theta` entry finite JSON numbers (not
     booleans or strings); `name` and `trained_with` a string or null. A field
     of another type, or a value ControllerParams rejects, raises a
-    ParameterError that names the file and the field.
+    ParameterError that names the file and the field; bytes that do not
+    decode as JSON text raise one that names the file.
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: expected a JSON object")
@@ -330,8 +331,8 @@ class LearnedController:
     arrays and `candidates` is K. Every product is a np.matmul broadcast over
     the candidate axis, so each candidate gets exactly its lone arithmetic.
 
-    Households without an active request have their output forced to zero
-    and their filter memory cleared. That memory is all the state a
+    A household without an active request has its output forced to zero
+    and its filter memory cleared. That memory is all the state a
     feedforward network keeps, so `nn` declares `idle_is_reset`: at a step
     where no household has an open request it commands 0 kW everywhere and
     ends in its reset state, and the simulator skips the step. An echo state

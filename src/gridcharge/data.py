@@ -22,7 +22,6 @@ import numpy as np
 from .domain import (
     SECONDS_PER_DAY,
     ChargingRequest,
-    Household,
     Scenario,
     Timebase,
     load_scenario,
@@ -154,8 +153,9 @@ def build_requests(
     travel_pool: list[TravelRecord],
     *,
     charging_share: float = DEFAULT_CHARGING_SHARE,
-) -> list[list[ChargingRequest]]:
-    """Overnight charging requests per household.
+) -> list[ChargingRequest]:
+    """Overnight charging requests of every household, as one list in
+    household order and by arrival within a household.
 
     A travel day d yields a request open from the car's return on day d to
     its departure on day d+1, unless the household skips it (probability
@@ -204,7 +204,7 @@ def build_requests(
     if raw.sum() > 0:
         raw *= target_kwh / raw.sum()
 
-    requests: list[list[ChargingRequest]] = [[] for _ in range(n_households)]
+    requests: list[ChargingRequest] = []
     clamped = 0
     for (h, arrive, depart, max_kw), kwh in zip(drafts, raw):
         cap = max_kw * (depart - arrive) * tb.step_hours
@@ -213,7 +213,7 @@ def build_requests(
             clamped += 1
         if kwh < MIN_REQUEST_KWH:
             continue
-        requests[h].append(
+        requests.append(
             ChargingRequest(
                 household_id=f"h{h:03d}",
                 t_arrive=arrive,
@@ -224,8 +224,6 @@ def build_requests(
         )
     if clamped:
         log.info("clamped %d charging demands to their window capacity", clamped)
-    for reqs in requests:
-        reqs.sort(key=lambda r: r.t_arrive)
     return requests
 
 
@@ -240,7 +238,8 @@ def synth_scenario(
 ) -> tuple[Scenario, dict[str, tuple[int, int]], list[TravelRecord]]:
     """Full synthetic scenario plus split step-ranges and the travel pool.
 
-    The scenario spans sum(split_days) days; splits are contiguous
+    The scenario spans sum(split_days) days, with households h000, h001, ...
+    whose baseline is the generator's matrix as drawn; splits are contiguous
     [start_step, end_step) ranges in train, tune, test order.
     """
     if len(split_days) != 3 or any(d < 1 for d in split_days):
@@ -264,15 +263,8 @@ def synth_scenario(
     requests = build_requests(
         req_rng, tb, baselines, pool, charging_share=charging_share
     )
-    households = tuple(
-        Household(
-            household_id=f"h{h:03d}",
-            baseline_load=baselines[h],
-            requests=tuple(requests[h]),
-        )
-        for h in range(n_households)
-    )
-    scenario = Scenario(timebase=tb, households=households)
+    household_ids = tuple(f"h{h:03d}" for h in range(n_households))
+    scenario = Scenario(tb, household_ids, baselines, tuple(requests))
 
     spd = tb.steps_per_day
     bounds = []
@@ -286,8 +278,8 @@ def synth_scenario(
 
 def charging_share_of(scenario: Scenario) -> float:
     """Realized fraction of overall energy that is charging."""
-    base_kwh = scenario.baseline_matrix().sum() * scenario.timebase.step_hours
-    charge_kwh = sum(r.required_energy for r in scenario.all_requests())
+    base_kwh = scenario.baseline.sum() * scenario.timebase.step_hours
+    charge_kwh = sum(r.required_energy for r in scenario.requests)
     total = base_kwh + charge_kwh
     return charge_kwh / total if total > 0 else 0.0
 
@@ -317,11 +309,13 @@ def read_splits_json(path: str | Path, timebase: Timebase) -> dict[str, tuple[in
     `format_version` 1, `step_seconds` equal to the dataset's, and each
     split's `start_step` and `end_step` with 0 <= start < end <= n_steps,
     no two splits sharing a step. Anything else raises a ValidationError that
-    names the file and field.
+    names the file and field, and so does a path that is not a regular file.
     """
+    if not Path(path).is_file():
+        raise ValidationError(f"{path} is not a regular file")
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
     if not isinstance(doc, dict) or not isinstance(doc.get("splits"), dict):

@@ -1,5 +1,9 @@
 """Core data model: timebase, charging requests and scenarios, and their CSV files.
 
+A scenario is one (households x steps) baseline matrix plus one tuple of
+charging requests, each naming its household; the requests come in the
+matrix's row order, and by arrival within a household.
+
 All energy is accounted in kWh and all power in kW; a charging "speed" is a
 power in kW held for one simulation step. Converting between the two uses
 ``step_hours = step_seconds / 3600``.
@@ -10,9 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -143,67 +149,66 @@ class ChargingRequest:
 
 
 @dataclass(frozen=True)
-class Household:
-    household_id: str
-    baseline_load: np.ndarray
-    requests: tuple[ChargingRequest, ...] = ()
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Per-household baseline load series plus request sets on one timebase."""
+    """Baseline loads and charging requests of a neighbourhood on one timebase.
+
+    `baseline` is a (households, n_steps) matrix in kW whose row h is the
+    household `household_ids[h]`. `requests` holds every request in
+    household-row order, and by arrival within a household; a household's
+    requests may not overlap. `request_rows`, derived, is each request's row.
+    """
 
     timebase: Timebase
-    households: tuple[Household, ...]
+    household_ids: tuple[str, ...]
+    baseline: np.ndarray
+    requests: tuple[ChargingRequest, ...] = ()
+    request_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tb = self.timebase
-        seen: set[str] = set()
-        for h in self.households:
-            if h.household_id in seen:
-                raise ValidationError(f"duplicate household_id {h.household_id!r}")
-            seen.add(h.household_id)
-            load = np.asarray(h.baseline_load, dtype=float)
-            if load.shape != (tb.n_steps,):
+        tb, ids = self.timebase, self.household_ids
+        row_of: dict[str, int] = {}
+        for hid in ids:
+            if hid in row_of:
+                raise ValidationError(f"duplicate household_id {hid!r}")
+            row_of[hid] = len(row_of)
+        base = np.asarray(self.baseline, dtype=float)
+        if base.shape != (len(ids), tb.n_steps):
+            raise ValidationError(
+                f"baseline matrix has shape {base.shape}, expected {len(ids)} households by "
+                f"series length {tb.n_steps}"
+            )
+        for what, bad in (("non-finite", ~np.isfinite(base)), ("negative", base < 0)):
+            hit = np.flatnonzero(bad.any(axis=1))
+            if hit.size:
+                raise ValidationError(f"household {ids[hit[0]]}: baseline has {what} values")
+        rows = []
+        prev = (0, -1)  # row and departure of the request before
+        for req in self.requests:
+            row = row_of.get(req.household_id)
+            if row is None:
+                raise ValidationError(f"request for unknown household {req.household_id!r}")
+            if (row, req.t_arrive) < prev:
                 raise ValidationError(
-                    f"household {h.household_id}: baseline series has length {load.shape}, "
-                    f"expected ({tb.n_steps},)"
+                    f"household {req.household_id}: request at step {req.t_arrive} overlaps "
+                    "the one before it, or breaks household-row or arrival order"
                 )
-            if not np.all(np.isfinite(load)):
-                raise ValidationError(f"household {h.household_id}: baseline has non-finite values")
-            if np.any(load < 0):
-                raise ValidationError(f"household {h.household_id}: baseline has negative values")
-            prev_depart = -1
-            for req in h.requests:
-                if req.household_id != h.household_id:
-                    raise ValidationError(
-                        f"request owner {req.household_id!r} filed under {h.household_id!r}"
-                    )
-                if req.t_arrive < prev_depart:
-                    raise ValidationError(
-                        f"household {h.household_id}: requests overlap or are unsorted "
-                        f"near step {req.t_arrive}"
-                    )
-                req.check_fits(tb)
-                prev_depart = req.t_depart
+            req.check_fits(tb)
+            rows.append(row)
+            prev = (row, req.t_depart)
+        object.__setattr__(self, "baseline", base)
+        object.__setattr__(self, "request_rows", np.array(rows, dtype=np.intp))
 
     @property
     def n_households(self) -> int:
-        return len(self.households)
-
-    def baseline_matrix(self) -> np.ndarray:
-        """Stacked (households, n_steps) baseline loads in kW."""
-        return np.stack([np.asarray(h.baseline_load, dtype=float) for h in self.households])
-
-    def all_requests(self) -> list[ChargingRequest]:
-        return [req for h in self.households for req in h.requests]
+        return len(self.household_ids)
 
 
 def slice_scenario(scenario: Scenario, start_step: int, end_step: int) -> Scenario:
     """Extract the sub-scenario covering steps [start_step, end_step).
 
-    Requests that cross either boundary are dropped: their mid-interval state
-    is not representable in the slice.
+    Its baseline is a column view of the scenario's. Requests that cross
+    either boundary are dropped: their mid-interval state is not
+    representable in the slice.
     """
     tb = scenario.timebase
     if not (0 <= start_step < end_step <= tb.n_steps):
@@ -215,27 +220,13 @@ def slice_scenario(scenario: Scenario, start_step: int, end_step: int) -> Scenar
         n_steps=end_step - start_step,
         step_seconds=tb.step_seconds,
     )
-    households = []
-    for h in scenario.households:
-        reqs = tuple(
-            ChargingRequest(
-                household_id=r.household_id,
-                t_arrive=r.t_arrive - start_step,
-                t_depart=r.t_depart - start_step,
-                required_energy=r.required_energy,
-                max_kw=r.max_kw,
-            )
-            for r in h.requests
-            if r.t_arrive >= start_step and r.t_depart <= end_step
-        )
-        households.append(
-            Household(
-                household_id=h.household_id,
-                baseline_load=np.asarray(h.baseline_load, dtype=float)[start_step:end_step],
-                requests=reqs,
-            )
-        )
-    return Scenario(timebase=new_tb, households=tuple(households))
+    requests = tuple(
+        replace(r, t_arrive=r.t_arrive - start_step, t_depart=r.t_depart - start_step)
+        for r in scenario.requests
+        if r.t_arrive >= start_step and r.t_depart <= end_step
+    )
+    return Scenario(new_tb, scenario.household_ids, scenario.baseline[:, start_step:end_step],
+                    requests)
 
 
 @dataclass(frozen=True)
@@ -283,24 +274,22 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> None:
     stamps = tb.iso_timestamps(tb.n_steps + 1)  # a request may depart at n_steps
     with open(directory / "loads.csv", "w", newline="") as f:
         csv.writer(f).writerow(LOADS_HEADER + [f"step_seconds={tb.step_seconds}"])
-        for h in scenario.households:
-            mid = f",{_csv_field(h.household_id)},"
-            values = np.asarray(h.baseline_load, dtype=float).tolist()
+        for hid, values in zip(scenario.household_ids, scenario.baseline.tolist()):
+            mid = f",{_csv_field(hid)},"
             f.write("".join([f"{s}{mid}{v!r}\r\n" for s, v in zip(stamps, values)]))
     with open(directory / "requests.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(REQUESTS_HEADER)
-        for h in scenario.households:
-            for r in h.requests:
-                w.writerow(
-                    [
-                        h.household_id,
-                        stamps[r.t_arrive],
-                        stamps[r.t_depart],
-                        repr(float(r.required_energy)),
-                        repr(float(r.max_kw)),
-                    ]
-                )
+        for r in scenario.requests:
+            w.writerow(
+                [
+                    r.household_id,
+                    stamps[r.t_arrive],
+                    stamps[r.t_depart],
+                    repr(float(r.required_energy)),
+                    repr(float(r.max_kw)),
+                ]
+            )
 
 
 def _parse_float(value: str, what: str, row: int, file: str) -> float:
@@ -317,17 +306,31 @@ def _parse_iso(value: str, what: str, row: int, file: str) -> datetime:
         raise ValidationError(f"{file} row {row}: bad {what} {value!r}") from None
 
 
+@contextmanager
+def _csv_reader(path: Path) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over the file `path`. A path that is not a regular file,
+    or bytes that do not decode as text, raise a ValidationError naming it."""
+    if not path.is_file():
+        raise ValidationError(f"{path} is not a regular file")
+    with open(path, newline="") as f:
+        try:
+            yield csv.reader(f)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid text ({exc})") from None
+
+
 def load_scenario(directory: str | Path) -> Scenario:
     """Read loads.csv and requests.csv back into a validated Scenario.
 
     loads.csv follows the contract ``save_scenario`` writes: its first data
     row sets the start, ``step_seconds`` in its header the step (default
     900), and every household needs exactly one row per step, starting at
-    the start and in step order. Households may come one after the other or
-    interleaved step by step. A row whose timestamp is off that grid, out of
-    order, repeated or skipping a step is an error; errors cite the
-    offending file and row number. Rows stream through: each distinct
-    timestamp is parsed once.
+    the start and in step order. The households may come one after the
+    other or interleaved step by step. A row whose timestamp is off that
+    grid, out of order, repeated or skipping a step is an error; errors cite
+    the offending file and row number. Rows stream through: each distinct
+    timestamp is parsed once. A file that is not a regular file, or whose
+    bytes do not decode as text, is an error naming the file.
 
     Every requests.csv row, a zero-energy one included, must lie within the
     scenario, ask no more energy than its window can deliver, and not
@@ -344,8 +347,7 @@ def load_scenario(directory: str | Path) -> Scenario:
     stamp_steps: dict[str, int] = {}     # timestamp text -> step on the grid
     grid: Timebase | None = None         # start and step; n_steps is known at the end
     step_seconds = 900
-    with open(loads_path, newline="") as f:
-        reader = csv.reader(f)
+    with _csv_reader(loads_path) as reader:
         header = next(reader, None)
         if not header or header[: len(LOADS_HEADER)] != LOADS_HEADER:
             raise ValidationError(f"loads.csv row 1: expected header {LOADS_HEADER}")
@@ -409,8 +411,7 @@ def load_scenario(directory: str | Path) -> Scenario:
     # household id -> (request, file row) pairs, zero-energy rows included
     requests: dict[str, list[tuple[ChargingRequest, int]]] = {hid: [] for hid in series}
     if requests_path.exists():
-        with open(requests_path, newline="") as f:
-            reader = csv.reader(f)
+        with _csv_reader(requests_path) as reader:
             header = next(reader, None)
             if header != REQUESTS_HEADER:
                 raise ValidationError(f"requests.csv row 1: expected header {REQUESTS_HEADER}")
@@ -439,7 +440,7 @@ def load_scenario(directory: str | Path) -> Scenario:
                     raise ValidationError(f"requests.csv row {i}: {exc}") from None
                 requests[hid].append((req, i))
 
-    households = []
+    kept: list[ChargingRequest] = []
     for hid, pairs in requests.items():
         pairs.sort(key=lambda pair: pair[0].t_arrive)
         for (prev, prev_row), (req, row) in zip(pairs, pairs[1:]):
@@ -449,10 +450,6 @@ def load_scenario(directory: str | Path) -> Scenario:
                     f"requests.csv row {later}: household {hid}: request overlaps the one "
                     f"of row {first}"
                 )
-        households.append(Household(
-            household_id=hid,
-            baseline_load=np.asarray(series[hid], dtype=float),
-            # zero-energy requests are dropped before simulation
-            requests=tuple(req for req, _ in pairs if req.required_energy != 0),
-        ))
-    return Scenario(timebase=tb, households=tuple(households))
+        # zero-energy requests are dropped before simulation
+        kept.extend(req for req, _ in pairs if req.required_energy != 0)
+    return Scenario(tb, tuple(series), np.array(list(series.values()), dtype=float), tuple(kept))

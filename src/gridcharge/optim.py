@@ -117,25 +117,19 @@ class Evaluator:
     `map_full` scores parameter vectors on the whole scenario, `map_window`
     on a window of it. A batch is cut, in order, into runs of as many
     candidates as MAX_BATCH_FLOATS allows, and each run is simulated in one
-    step loop. With `workers` > 1 the runs are handed to a pool of that many
-    worker processes, one run per task; otherwise they are simulated here.
-    Either way every candidate scores exactly what its lone run would. Use as
-    a context manager so the pool is torn down.
+    step loop. A batch of one run is simulated here. With `workers` > 1, the
+    runs of a batch of several go to a pool of that many worker processes,
+    one run per task; the pool starts with the first such batch. Either way
+    every candidate scores exactly what its lone run would. Use as a context
+    manager so the pool is torn down.
     """
 
     def __init__(self, scenario: Scenario, template: ControllerParams, *, workers: int = 1):
         self.template = template
         self._per_run = _candidates_per_run(scenario, template)
-        self._kernel: SimKernel | None = None
+        self._workers = workers
+        self._kernel = SimKernel(scenario)
         self._pool: ProcessPoolExecutor | None = None
-        if workers > 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(scenario, template),
-            )
-        else:
-            self._kernel = SimKernel(scenario)
 
     def __enter__(self) -> "Evaluator":
         return self
@@ -156,10 +150,16 @@ class Evaluator:
              start, end, warmup)
             for i in range(0, len(thetas), n)
         ]
-        if self._pool is None:
-            scored = (_score_run(self._kernel, self.template, run) for run in runs)
-        else:
+        if len(runs) > 1 and self._workers > 1:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._workers,
+                    initializer=_worker_init,
+                    initargs=(self._kernel.scenario, self.template),
+                )
             scored = self._pool.map(_worker_score, runs)
+        else:
+            scored = (_score_run(self._kernel, self.template, run) for run in runs)
         return [f for values in scored for f in values]
 
     def map_full(self, thetas: Sequence[np.ndarray]) -> list[float]:

@@ -150,15 +150,12 @@ def optimal_schedule(
     tb = scenario.timebase
     n_steps = tb.n_steps
     warmup_steps = resolve_warmup(tb, warmup_steps)
-    requests = scenario.all_requests()
+    requests = scenario.requests
     if not requests:
         result = replace(no_charge_result(scenario), warmup_steps=warmup_steps)
         return OracleResult(result=result, converged=True, iterations=0, duality_gap=0.0)
 
-    base_total = scenario.baseline_matrix().sum(axis=0)
-    house_of: list[int] = []
-    for hi, h in enumerate(scenario.households):
-        house_of.extend([hi] * len(h.requests))
+    base_total = scenario.baseline.sum(axis=0)
     n_req = len(requests)
     n_house = scenario.n_households
 
@@ -231,7 +228,7 @@ def optimal_schedule(
     schedule = np.zeros((n_house, n_steps))
     for r, req in enumerate(requests):
         k = req.total_steps
-        schedule[house_of[r], req.t_arrive : req.t_depart] += x[r, :k]
+        schedule[scenario.request_rows[r], req.t_arrive : req.t_depart] += x[r, :k]
 
     result = SimResult(
         timebase=tb,

@@ -89,7 +89,7 @@ def resolve_warmup(timebase: Timebase, warmup_steps: int | None, n_steps: int | 
 
 def no_charge_result(scenario: Scenario) -> SimResult:
     """The scenario with no car charging: grid load is the baseline total."""
-    base = scenario.baseline_matrix()
+    base = scenario.baseline
     return SimResult(
         timebase=scenario.timebase,
         grid_load=base.sum(axis=0),
@@ -107,7 +107,7 @@ class SimKernel:
         tb = self.timebase
         n_steps = tb.n_steps
         n_house = scenario.n_households
-        self.base = scenario.baseline_matrix()
+        self.base = scenario.baseline
         self.base_total = self.base.sum(axis=0)
 
         self.clock = np.empty((n_steps, 3))
@@ -137,25 +137,24 @@ class SimKernel:
         arrivals: dict[int, tuple[list[int], list[float]]] = {}
         departures: dict[int, list[int]] = {}
         dh = tb.step_hours
-        for h, household in enumerate(scenario.households):
-            for req in household.requests:
-                t0, t1 = req.t_arrive, req.t_depart
-                left = (t1 - np.arange(t0, t1)).astype(float)
-                self.covered[t0:t1, h] = True
-                self.rem_steps[t0:t1, h] = left
-                self.total_steps[t0:t1, h] = t1 - t0
-                self.required[t0:t1, h] = req.required_energy
-                self.max_kw[t0:t1, h] = req.max_kw
-                self.frac_steps[t0:t1, h] = left / (t1 - t0)
-                if req.required_energy > 0:
-                    self.inv_required[t0:t1, h] = 1.0 / req.required_energy
-                self.inv_rem_energy[t0:t1, h] = 1.0 / (left * dh)
-                self.inv_max_kw[t0:t1, h] = 1.0 / req.max_kw
-                self.headroom_tol[t0:t1, h] = req.max_kw * left * dh + ENERGY_TOL_KWH
-                rows, owed = arrivals.setdefault(t0, ([], []))
-                rows.append(h)
-                owed.append(float(req.required_energy))
-                departures.setdefault(t1, []).append(h)
+        for h, req in zip(scenario.request_rows.tolist(), scenario.requests):
+            t0, t1 = req.t_arrive, req.t_depart
+            left = (t1 - np.arange(t0, t1)).astype(float)
+            self.covered[t0:t1, h] = True
+            self.rem_steps[t0:t1, h] = left
+            self.total_steps[t0:t1, h] = t1 - t0
+            self.required[t0:t1, h] = req.required_energy
+            self.max_kw[t0:t1, h] = req.max_kw
+            self.frac_steps[t0:t1, h] = left / (t1 - t0)
+            if req.required_energy > 0:
+                self.inv_required[t0:t1, h] = 1.0 / req.required_energy
+            self.inv_rem_energy[t0:t1, h] = 1.0 / (left * dh)
+            self.inv_max_kw[t0:t1, h] = 1.0 / req.max_kw
+            self.headroom_tol[t0:t1, h] = req.max_kw * left * dh + ENERGY_TOL_KWH
+            rows, owed = arrivals.setdefault(t0, ([], []))
+            rows.append(h)
+            owed.append(float(req.required_energy))
+            departures.setdefault(t1, []).append(h)
         self.arrivals = {
             t: (np.asarray(rows, dtype=np.intp), np.asarray(vals))
             for t, (rows, vals) in arrivals.items()
@@ -182,7 +181,7 @@ class SimKernel:
             k, j = self._first_failure(failed, owed)
             h = int(rows[j])
             raise SimulationIncomplete(
-                f"request for {self.scenario.households[h].household_id} departing at "
+                f"request for {self.scenario.household_ids[h]} departing at "
                 f"step {t} left {float(owed.reshape(-1, len(rows))[k, j]):.3e} kWh undelivered"
             )
 
@@ -272,7 +271,7 @@ class SimKernel:
                 if stuck.any():
                     k, h = self._first_failure(stuck, remaining - self.headroom_tol[t])
                     raise SimulationIncomplete(
-                        f"household {self.scenario.households[h].household_id} cannot finish "
+                        f"household {self.scenario.household_ids[h]} cannot finish "
                         f"its request from step {t}: "
                         f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
                     )

@@ -26,7 +26,6 @@ from gridcharge.data import split_scenario, synth_scenario
 from gridcharge.domain import (
     FINISH_TOL_KWH,
     ChargingRequest,
-    Household,
     Scenario,
     Timebase,
 )
@@ -43,6 +42,11 @@ TRAINING_SEEDS = (0, 1, 2)
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if passed else 'FAIL'}: {detail}")
     assert passed, f"{criterion}: {detail}"
+
+
+def requests_of(scenario: Scenario, household_id: str) -> list[ChargingRequest]:
+    """The requests of one household, in the scenario's order."""
+    return [r for r in scenario.requests if r.household_id == household_id]
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +131,8 @@ def test_criterion_1_feasibility_and_conservation():
         scenario, _, _ = synth_scenario(n_households=20, split_days=(7, 2, 1), seed=seed)
         step_hours = scenario.timebase.step_hours
         required = np.array(
-            [sum(r.required_energy for r in hh.requests) for hh in scenario.households]
+            [sum(r.required_energy for r in requests_of(scenario, hid))
+             for hid in scenario.household_ids]
         )
         kernel = SimKernel(scenario)
         controllers = [make_controller(k) for k in BASELINE_KINDS]
@@ -196,21 +201,17 @@ def test_criterion_4_oracle_lower_bound(
     timebase = Timebase(start=datetime(2026, 3, 2), n_steps=2, step_seconds=900)
     toy = Scenario(
         timebase=timebase,
-        households=[
-            Household(
+        household_ids=("hh0",),
+        baseline=np.array([[0.0, 10.0]]),
+        requests=(
+            ChargingRequest(
                 household_id="hh0",
-                baseline_load=np.array([0.0, 10.0]),
-                requests=[
-                    ChargingRequest(
-                        household_id="hh0",
-                        t_arrive=0,
-                        t_depart=2,
-                        required_energy=2.5,
-                        max_kw=10.0,
-                    )
-                ],
-            )
-        ],
+                t_arrive=0,
+                t_depart=2,
+                required_energy=2.5,
+                max_kw=10.0,
+            ),
+        ),
     )
     toy_oracle = optimal_schedule(toy)
     toy_exact = (
@@ -231,7 +232,7 @@ def test_criterion_4_oracle_lower_bound(
 def test_criterion_5_peak_preservation(acceptance, acceptance_trained):
     scenario, _ = acceptance
     warmup = default_warmup(scenario.timebase)
-    no_charge_max = float(scenario.baseline_matrix().sum(axis=0)[warmup:].max())
+    no_charge_max = float(scenario.baseline.sum(axis=0)[warmup:].max())
     result = SimKernel(scenario).run(make_controller(acceptance_trained))
     trained_max = float(result.grid_load[warmup:].max())
     report(
@@ -313,10 +314,10 @@ def reference_min_with_memory(scenario: Scenario) -> np.ndarray:
     timebase = scenario.timebase
     dh = timebase.step_hours
     inv_dh = 1.0 / dh
-    out = np.zeros((len(scenario.households), timebase.n_steps))
-    for row, household in enumerate(scenario.households):
+    out = np.zeros((scenario.n_households, timebase.n_steps))
+    for row, hid in enumerate(scenario.household_ids):
         open_request = {}
-        for req in household.requests:
+        for req in requests_of(scenario, hid):
             for t in range(req.t_arrive, req.t_depart):
                 open_request[t] = req
         remaining = 0.0
@@ -341,7 +342,7 @@ def reference_min_with_memory(scenario: Scenario) -> np.ndarray:
 
 def test_criterion_8_full_smoothing_ignores_weights():
     scenario, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=5)
-    assert scenario.all_requests(), "degeneracy check needs at least one request"
+    assert scenario.requests, "degeneracy check needs at least one request"
     kernel = SimKernel(scenario)
     charging = {}
     for kind in ("nn", "esn"):

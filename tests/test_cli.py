@@ -230,7 +230,7 @@ def test_eval_warns_when_the_split_holds_no_request(tmp_path, caplog):
     dataset = tmp_path / "empty-test"
     assert run("gen", "--out", dataset, "--seed", 7, *EMPTY_TEST) == 0
     scenario, splits = load_dataset(dataset)
-    assert not split_scenario(scenario, splits, "test").all_requests()
+    assert not split_scenario(scenario, splits, "test").requests
     with caplog.at_level(logging.WARNING, logger="gridcharge"):
         rc = run("eval", "--data", dataset, "--out", tmp_path / "empty", "--no-oracle")
     assert rc == 0
@@ -359,6 +359,61 @@ def test_params_file_with_non_string_name_exits_3(dataset, tmp_path, caplog):
     rc = run("eval", "--data", dataset, "--out", tmp_path / "o", "--params", path, "--no-oracle")
     assert rc == 3
     assert any(str(path) in r.message and "name" in r.message for r in caplog.records)
+
+
+def _eval_copy(dataset, trained, tmp_path, caplog, file, spoil):
+    """Exit code and error lines of `eval` on a copy of the dataset, with the
+    params file copied in beside it, after `spoil` is applied to `file`."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    shutil.copy(trained, data / "params.json")
+    spoil(data / file)
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("eval", "--data", data, "--out", tmp_path / "o",
+                 "--params", data / "params.json", "--no-oracle")
+    return rc, [r.message for r in caplog.records]
+
+
+def _append_ff(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def _latin1_household_id(path):
+    path.write_bytes(path.read_bytes().replace(b"h000", b"h\xe9"))
+
+
+@pytest.mark.parametrize(
+    "file,spoil",
+    [
+        ("loads.csv", _append_ff),
+        ("loads.csv", _latin1_household_id),
+        ("requests.csv", _append_ff),
+        ("splits.json", _append_ff),
+        ("params.json", _append_ff),
+    ],
+)
+def test_undecodable_byte_exits_3_naming_the_file(dataset, trained, tmp_path, caplog, file,
+                                                   spoil):
+    rc, errors = _eval_copy(dataset, trained, tmp_path, caplog, file, spoil)
+    assert rc == 3
+    assert any(file in message for message in errors)
+
+
+def _directory_in_place(path):
+    path.unlink()
+    path.mkdir()
+
+
+# A dataset file that is a directory is bad data; an unreadable --params path
+# is a usage error.
+@pytest.mark.parametrize(
+    "file,code",
+    [("loads.csv", 3), ("requests.csv", 3), ("splits.json", 3), ("params.json", 2)],
+)
+def test_file_replaced_by_a_directory(dataset, trained, tmp_path, caplog, file, code):
+    rc, errors = _eval_copy(dataset, trained, tmp_path, caplog, file, _directory_in_place)
+    assert rc == code
+    assert any(file in message for message in errors)
 
 
 # Bad values given on the command line are usage errors, whichever layer

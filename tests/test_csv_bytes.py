@@ -13,7 +13,6 @@ from gridcharge.domain import (
     LOADS_HEADER,
     REQUESTS_HEADER,
     ChargingRequest,
-    Household,
     Scenario,
     SimResult,
     Timebase,
@@ -42,25 +41,22 @@ def reference_save_scenario(scenario, directory):
     with open(directory / "loads.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(LOADS_HEADER + [f"step_seconds={tb.step_seconds}"])
-        for h in scenario.households:
+        for hid, baseline in zip(scenario.household_ids, scenario.baseline):
             for t in range(tb.n_steps):
-                w.writerow(
-                    [tb.step_to_datetime(t).isoformat(), h.household_id, repr(float(h.baseline_load[t]))]
-                )
+                w.writerow([tb.step_to_datetime(t).isoformat(), hid, repr(float(baseline[t]))])
     with open(directory / "requests.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(REQUESTS_HEADER)
-        for h in scenario.households:
-            for r in h.requests:
-                w.writerow(
-                    [
-                        h.household_id,
-                        tb.step_to_datetime(r.t_arrive).isoformat(),
-                        tb.step_to_datetime(r.t_depart).isoformat(),
-                        repr(float(r.required_energy)),
-                        repr(float(r.max_kw)),
-                    ]
-                )
+        for r in scenario.requests:
+            w.writerow(
+                [
+                    r.household_id,
+                    tb.step_to_datetime(r.t_arrive).isoformat(),
+                    tb.step_to_datetime(r.t_depart).isoformat(),
+                    repr(float(r.required_energy)),
+                    repr(float(r.max_kw)),
+                ]
+            )
 
 
 def reference_loads_out_csv(result, path):
@@ -101,15 +97,17 @@ def quirky_scenario(start, step_seconds):
     different offset, and requests that end on the last step."""
     n_steps = 2 * len(FLOATS)
     tb = Timebase(start=start, n_steps=n_steps, step_seconds=step_seconds)
-    households = []
-    for k, hid in enumerate(HOUSEHOLD_IDS):
-        baseline = np.array([FLOATS[(t + k) % len(FLOATS)] for t in range(n_steps)])
-        requests = (
+    baseline = [[FLOATS[(t + k) % len(FLOATS)] for t in range(n_steps)]
+                for k in range(len(HOUSEHOLD_IDS))]
+    requests = [
+        req
+        for k, hid in enumerate(HOUSEHOLD_IDS)
+        for req in (
             ChargingRequest(hid, 1, 3, 0.1 + 0.2, 7.5),
             ChargingRequest(hid, 5 + k % 3, n_steps, 1e-7, 3.0),
         )
-        households.append(Household(hid, baseline, requests))
-    return Scenario(timebase=tb, households=tuple(households))
+    ]
+    return Scenario(tb, tuple(HOUSEHOLD_IDS), np.array(baseline), tuple(requests))
 
 
 @pytest.mark.parametrize("start,step_seconds", TIMEBASES)
@@ -122,9 +120,9 @@ def test_save_scenario_bytes_match_row_writer(tmp_path, start, step_seconds):
     for name in ("loads.csv", "requests.csv"):
         assert (ours / name).read_bytes() == (ref / name).read_bytes(), name
     back = load_scenario(ours)
-    assert [h.household_id for h in back.households] == HOUSEHOLD_IDS
-    assert np.array_equal(back.baseline_matrix(), scenario.baseline_matrix())
-    assert back.all_requests() == scenario.all_requests()
+    assert list(back.household_ids) == HOUSEHOLD_IDS
+    assert np.array_equal(back.baseline, scenario.baseline)
+    assert back.requests == scenario.requests
 
 
 def test_save_scenario_bytes_match_on_a_generated_dataset(tmp_path):

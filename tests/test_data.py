@@ -75,7 +75,7 @@ def test_baselines_have_a_daily_pattern():
 def test_requests_fit_their_windows():
     sc, _, _ = synth_scenario(n_households=6, split_days=(2, 1, 1), seed=7)
     tb = sc.timebase
-    for r in sc.all_requests():
+    for r in sc.requests:
         assert 0 <= r.t_arrive < r.t_depart <= tb.n_steps
         assert r.required_energy >= MIN_REQUEST_KWH
         assert r.required_energy <= r.max_deliverable_kwh(tb.step_hours)
@@ -103,9 +103,9 @@ def test_synth_scenario_deterministic_per_seed():
     b, sb, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=9)
     c, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=10)
     assert sa == sb
-    assert np.array_equal(a.baseline_matrix(), b.baseline_matrix())
-    assert list(a.all_requests()) == list(b.all_requests())
-    assert not np.array_equal(a.baseline_matrix(), c.baseline_matrix())
+    assert np.array_equal(a.baseline, b.baseline)
+    assert list(a.requests) == list(b.requests)
+    assert not np.array_equal(a.baseline, c.baseline)
 
 
 def test_split_ranges_are_contiguous_days():
@@ -129,8 +129,8 @@ def test_split_scenario_slices_and_validates_name():
     assert tune.timebase.n_steps == sc.timebase.steps_per_day
     spd = sc.timebase.steps_per_day
     assert np.array_equal(
-        tune.households[0].baseline_load,
-        sc.households[0].baseline_load[2 * spd : 3 * spd],
+        tune.baseline[0],
+        sc.baseline[0, 2 * spd : 3 * spd],
     )
     with pytest.raises(ConfigError, match="no split named"):
         split_scenario(sc, splits, "validation")
@@ -221,8 +221,8 @@ def test_dataset_directory_round_trip(tmp_path):
     save_dataset(tmp_path / "ds", sc, splits, travels=pool)
     loaded, loaded_splits = load_dataset(tmp_path / "ds")
     assert loaded_splits == splits
-    assert np.array_equal(loaded.baseline_matrix(), sc.baseline_matrix())
-    assert list(loaded.all_requests()) == list(sc.all_requests())
+    assert np.array_equal(loaded.baseline, sc.baseline)
+    assert list(loaded.requests) == list(sc.requests)
     with open(tmp_path / "ds" / "travels.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["day_of_week", "depart_s", "return_s"]

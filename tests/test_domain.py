@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gridcharge.domain import (
     ChargingRequest,
-    Household,
     Scenario,
     Timebase,
     load_scenario,
@@ -24,12 +23,7 @@ MONDAY = datetime(2026, 3, 2)
 
 def one_household(n_steps=8, baseline=1.0, requests=(), step_seconds=900):
     tb = Timebase(start=MONDAY, n_steps=n_steps, step_seconds=step_seconds)
-    h = Household(
-        household_id="h000",
-        baseline_load=np.full(n_steps, baseline),
-        requests=tuple(requests),
-    )
-    return Scenario(timebase=tb, households=(h,))
+    return Scenario(tb, ("h000",), np.full((1, n_steps), baseline), tuple(requests))
 
 
 # --- Timebase ---------------------------------------------------------------
@@ -96,20 +90,39 @@ def test_request_validation():
 
 def test_scenario_rejects_wrong_baseline_length():
     tb = Timebase(start=MONDAY, n_steps=8)
-    h = Household("h0", baseline_load=np.ones(5))
     with pytest.raises(ValidationError, match="length"):
-        Scenario(timebase=tb, households=(h,))
+        Scenario(tb, ("h0",), np.ones((1, 5)))
 
 
 @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
 def test_scenario_rejects_negative_and_nonfinite_baseline(bad):
-    base = np.ones(8)
-    base[3] = bad
+    base = np.ones((1, 8))
+    base[0, 3] = bad
     with pytest.raises(ValidationError):
-        Scenario(
-            timebase=Timebase(start=MONDAY, n_steps=8),
-            households=(Household("h0", baseline_load=base),),
-        )
+        Scenario(Timebase(start=MONDAY, n_steps=8), ("h0",), base)
+
+
+@pytest.mark.parametrize("bad,what", [(-0.1, "negative"), (np.nan, "non-finite"),
+                                       (np.inf, "non-finite")])
+def test_scenario_names_the_household_of_a_bad_baseline_row(bad, what):
+    base = np.ones((3, 8))
+    base[1, 5] = bad
+    with pytest.raises(ValidationError, match=f"^household h1: baseline has {what} values$"):
+        Scenario(Timebase(start=MONDAY, n_steps=8), ("h0", "h1", "h2"), base)
+
+
+def test_scenario_rejects_a_request_of_an_unknown_household():
+    with pytest.raises(ValidationError, match="unknown household 'h9'"):
+        Scenario(Timebase(start=MONDAY, n_steps=8), ("h0",), np.ones((1, 8)),
+                 (ChargingRequest("h9", 0, 4, 1.0, 8.0),))
+
+
+def test_scenario_rejects_requests_out_of_household_row_order():
+    reqs = (ChargingRequest("h1", 0, 4, 1.0, 8.0), ChargingRequest("h0", 4, 8, 1.0, 8.0))
+    with pytest.raises(ValidationError, match="breaks household-row or arrival order"):
+        Scenario(Timebase(start=MONDAY, n_steps=8), ("h0", "h1"), np.ones((2, 8)), reqs)
+    back = Scenario(Timebase(start=MONDAY, n_steps=8), ("h1", "h0"), np.ones((2, 8)), reqs)
+    assert back.request_rows.tolist() == [0, 1]
 
 
 def test_scenario_rejects_overlapping_requests():
@@ -127,7 +140,7 @@ def test_scenario_allows_touching_requests():
         ChargingRequest("h000", 4, 8, 1.0, 8.0),
     )
     scenario = one_household(requests=reqs)
-    assert len(scenario.all_requests()) == 2
+    assert len(scenario.requests) == 2
 
 
 def test_scenario_rejects_out_of_range_request():
@@ -143,14 +156,13 @@ def test_scenario_rejects_infeasible_request():
 
 def test_scenario_accepts_boundary_feasible_request():
     scenario = one_household(requests=(ChargingRequest("h000", 0, 4, 2.0, 2.0),))
-    assert scenario.all_requests()[0].required_energy == 2.0
+    assert scenario.requests[0].required_energy == 2.0
 
 
 def test_scenario_rejects_duplicate_household_ids():
     tb = Timebase(start=MONDAY, n_steps=8)
-    h = Household("h0", baseline_load=np.ones(8))
     with pytest.raises(ValidationError, match="duplicate"):
-        Scenario(timebase=tb, households=(h, h))
+        Scenario(tb, ("h0", "h0"), np.ones((2, 8)))
 
 
 # --- Slicing ----------------------------------------------------------------
@@ -166,7 +178,7 @@ def test_slice_scenario_shifts_and_drops_crossers():
     part = slice_scenario(scenario, 2, 10)
     assert part.timebase.n_steps == 8
     assert part.timebase.start == scenario.timebase.step_to_datetime(2)
-    kept = part.households[0].requests
+    kept = part.requests
     assert [(r.t_arrive, r.t_depart) for r in kept] == [(2, 6)]
 
 
@@ -187,8 +199,8 @@ def test_scenario_round_trip(tmp_path):
     save_scenario(scenario, tmp_path)
     back = load_scenario(tmp_path)
     assert back.timebase == scenario.timebase
-    assert np.array_equal(back.households[0].baseline_load, scenario.households[0].baseline_load)
-    assert back.households[0].requests == scenario.households[0].requests
+    assert np.array_equal(back.baseline[0], scenario.baseline[0])
+    assert back.requests == scenario.requests
 
 
 @settings(max_examples=25, deadline=None)
@@ -208,16 +220,11 @@ def test_scenario_round_trip(tmp_path):
 def test_loads_round_trip_is_exact(tmp_path_factory, rows):
     tmp_path = tmp_path_factory.mktemp("loads")
     tb = Timebase(start=MONDAY, n_steps=len(rows[0]))
-    scenario = Scenario(
-        timebase=tb,
-        households=tuple(
-            Household(f"h{k}", baseline_load=np.array(values)) for k, values in enumerate(rows)
-        ),
-    )
+    scenario = Scenario(tb, tuple(f"h{k}" for k in range(len(rows))), np.array(rows))
     save_scenario(scenario, tmp_path)
     back = load_scenario(tmp_path)
-    assert [h.household_id for h in back.households] == [f"h{k}" for k in range(len(rows))]
-    assert np.array_equal(back.baseline_matrix(), np.array(rows))
+    assert list(back.household_ids) == [f"h{k}" for k in range(len(rows))]
+    assert np.array_equal(back.baseline, np.array(rows))
 
 
 def test_load_scenario_cites_bad_row(tmp_path):
@@ -263,7 +270,7 @@ def test_load_scenario_drops_zero_energy_requests(tmp_path):
     scenario = one_household(n_steps=4)
     save_scenario(scenario, tmp_path)
     _write_requests(tmp_path, scenario, [(0, 2, 0.0, 4.0)])
-    assert load_scenario(tmp_path).all_requests() == []
+    assert load_scenario(tmp_path).requests == ()
 
 
 @pytest.mark.parametrize(
@@ -355,8 +362,8 @@ def test_load_scenario_reads_households_interleaved_in_step_order(tmp_path):
     write_loads(tmp_path, rows, step_seconds=3600)
     back = load_scenario(tmp_path)
     assert back.timebase == Timebase(start=MONDAY, n_steps=3, step_seconds=3600)
-    assert [h.household_id for h in back.households] == ["h1", "h2"]
-    assert np.array_equal(back.baseline_matrix(), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    assert list(back.household_ids) == ["h1", "h2"]
+    assert np.array_equal(back.baseline, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
 
 def test_load_scenario_cites_the_header_for_a_bad_step(tmp_path):

@@ -324,6 +324,22 @@ def test_evaluator_worker_pool_agrees_with_local(crowd):
         assert pooled.map_full(list(thetas)) == local.map_full(list(thetas))
 
 
+def test_evaluator_starts_its_pool_only_for_a_batch_of_several_runs(crowd):
+    """Batches that each fit in one run are scored in-process at any worker
+    count, and score what they score with one worker; the pool starts with
+    the first batch of several runs."""
+    rng = np.random.default_rng(2)
+    p = init_params(KIND_NN, "a", rng)
+    n_cand = _candidates_per_run(crowd, p)
+    thetas = list(p.theta + 0.5 * rng.standard_normal((n_cand + 1, p.theta.size)))
+    with Evaluator(crowd, p) as local, Evaluator(crowd, p, workers=2) as ev:
+        assert ev.map_full(thetas[:n_cand]) == local.map_full(thetas[:n_cand])
+        assert ev.map_window(thetas[:2], 50, 100, 60) == local.map_window(thetas[:2], 50, 100, 60)
+        assert ev._pool is None
+        ev.map_full(thetas)
+        assert ev._pool is not None
+
+
 def test_train_cma_never_regresses_and_tags_params(tiny):
     p0 = init_params(KIND_NN, "h", np.random.default_rng(2))
     with Evaluator(tiny, p0) as ev:
@@ -379,13 +395,7 @@ def test_train_numgrad_improves_monotonically(tiny):
 def test_tune_smoothing_ties_break_low():
     # without any requests every smoothing weight scores the same
     scenario, splits, _ = synth_scenario(n_households=2, split_days=(2, 1, 1), seed=13)
-    bare = type(scenario)(
-        timebase=scenario.timebase,
-        households=tuple(
-            type(h)(household_id=h.household_id, baseline_load=h.baseline_load, requests=())
-            for h in scenario.households
-        ),
-    )
+    bare = type(scenario)(scenario.timebase, scenario.household_ids, scenario.baseline)
     p = init_params(KIND_NN, "h", np.random.default_rng(4), smoothing=0.6)
     tuned, table = tune_smoothing(bare, p)
     assert tuned.smoothing == 0.0

@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 from gridcharge import oracle as oracle_module
 from gridcharge.controllers import BASELINE_KINDS, KIND_CONST, KIND_MAX, KIND_MIN, make_controller
 from gridcharge.data import synth_scenario
-from gridcharge.domain import ChargingRequest, Household, Scenario, Timebase
+from gridcharge.domain import ChargingRequest, Scenario, Timebase
 from gridcharge.errors import SimulationError
 from gridcharge.oracle import OracleResult, optimal_schedule, project_capped_simplex
 from gridcharge.simulator import SimKernel, no_charge_result, objective_std
 
 MONDAY = datetime(2026, 3, 2)
+
+
+def scenario_of(baseline, requests=(), timebase=None):
+    """Households h0, h1, ... with the given baseline rows, on `timebase`
+    (default: one that starts on MONDAY and fits the rows)."""
+    baseline = np.atleast_2d(np.asarray(baseline, dtype=float))
+    tb = timebase or Timebase(start=MONDAY, n_steps=baseline.shape[1])
+    return Scenario(tb, tuple(f"h{i}" for i in range(len(baseline))), baseline, tuple(requests))
 
 
 def test_projection_splits_evenly_without_caps():
@@ -133,12 +141,7 @@ def test_projection_runs_once_per_iteration(monkeypatch):
 def test_two_step_toy_solved_exactly():
     """One request, 2.5 kWh, into base loads [0, 10]: all charging belongs in
     the first step at 10 kW, flattening the total to [10, 10]."""
-    h = Household(
-        household_id="h0",
-        baseline_load=np.array([0.0, 10.0]),
-        requests=(ChargingRequest("h0", 0, 2, 2.5, 10.0),),
-    )
-    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=2), households=(h,))
+    sc = scenario_of([0.0, 10.0], (ChargingRequest("h0", 0, 2, 2.5, 10.0),))
     res = optimal_schedule(sc, warmup_steps=0)
     assert np.allclose(res.result.per_household_charging, [[10.0, 0.0]], atol=1e-6)
     assert objective_std(res.result) == pytest.approx(0.0, abs=1e-6)
@@ -159,27 +162,26 @@ def test_oracle_schedule_is_feasible():
     res = optimal_schedule(sc)
     dh = sc.timebase.step_hours
     covered = np.zeros((sc.n_households, sc.timebase.n_steps), dtype=bool)
-    for hi, h in enumerate(sc.households):
-        for r in h.requests:
-            window = res.result.per_household_charging[hi, r.t_arrive : r.t_depart]
-            covered[hi, r.t_arrive : r.t_depart] = True
-            assert np.all(window <= r.max_kw + 1e-9)
-            assert np.all(window >= -1e-12)
-            assert window.sum() * dh == pytest.approx(r.required_energy, abs=1e-6)
+    for r in sc.requests:
+        hi = sc.household_ids.index(r.household_id)
+        window = res.result.per_household_charging[hi, r.t_arrive : r.t_depart]
+        covered[hi, r.t_arrive : r.t_depart] = True
+        assert np.all(window <= r.max_kw + 1e-9)
+        assert np.all(window >= -1e-12)
+        assert window.sum() * dh == pytest.approx(r.required_energy, abs=1e-6)
     assert np.all(res.result.per_household_charging[~covered] == 0.0)
 
 
 def test_oracle_result_consistent_with_its_simulation():
     sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=8)
     res = optimal_schedule(sc)
-    base = sc.baseline_matrix().sum(axis=0)
+    base = sc.baseline.sum(axis=0)
     assert np.allclose(res.result.grid_load, base + res.result.per_household_charging.sum(axis=0))
     assert res.result.warmup_steps == sc.timebase.steps_per_day
 
 
 def test_oracle_without_requests_returns_baseline():
-    h = Household("h0", np.array([1.0, 2.0, 3.0, 4.0]))
-    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=4), households=(h,))
+    sc = scenario_of([1.0, 2.0, 3.0, 4.0])
     res = optimal_schedule(sc, warmup_steps=0)
     assert isinstance(res, OracleResult)
     assert np.array_equal(res.result.per_household_charging, np.zeros((1, 4)))
@@ -193,8 +195,7 @@ def test_oracle_without_requests_returns_baseline():
 
 @pytest.mark.parametrize("warmup", [-3, 4])
 def test_oracle_rejects_a_warmup_that_is_negative_or_leaves_nothing(warmup):
-    h = Household("h0", np.full(4, 1.0), requests=(ChargingRequest("h0", 0, 4, 1.0, 4.0),))
-    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=4), households=(h,))
+    sc = scenario_of(np.full(4, 1.0), (ChargingRequest("h0", 0, 4, 1.0, 4.0),))
     with pytest.raises(SimulationError, match=f"warmup of {warmup} steps"):
         optimal_schedule(sc, warmup_steps=warmup)
 
@@ -203,12 +204,7 @@ def test_oracle_beats_const_when_deferral_helps():
     # base has a peak in the request window; const charges through it, the
     # oracle shifts energy into the quiet half
     base = np.array([1.0, 1.0, 8.0, 8.0, 1.0, 1.0, 1.0, 1.0])
-    h = Household(
-        household_id="h0",
-        baseline_load=base,
-        requests=(ChargingRequest("h0", 0, 8, 4.0, 6.0),),
-    )
-    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=8), households=(h,))
+    sc = scenario_of(base, (ChargingRequest("h0", 0, 8, 4.0, 6.0),))
     oracle = optimal_schedule(sc, warmup_steps=0)
     const = objective_std(SimKernel(sc).run(make_controller(KIND_CONST), warmup_steps=0))
     assert objective_std(oracle.result) < const - 0.1
@@ -222,10 +218,9 @@ def random_scenario(n_households, days, step_seconds, seed):
     rng = np.random.default_rng(seed)
     tb = Timebase(start=MONDAY, n_steps=days * 86400 // step_seconds, step_seconds=step_seconds)
     spd = tb.steps_per_day
-    households = []
+    baselines, requests = [], []
     for h in range(n_households):
         hid = f"h{h}"
-        requests = []
         t = int(rng.integers(0, spd))
         while t < tb.n_steps:
             depart = min(t + int(rng.integers(1, spd)), tb.n_steps)
@@ -234,9 +229,8 @@ def random_scenario(n_households, days, step_seconds, seed):
             energy = capacity if rng.random() < 0.25 else float(rng.uniform(0.0, 1.0)) * capacity
             requests.append(ChargingRequest(hid, t, depart, energy, max_kw))
             t = depart + int(rng.integers(0, spd))
-        baseline = rng.uniform(0.1, 3.0, tb.n_steps)
-        households.append(Household(hid, baseline, tuple(requests)))
-    return Scenario(timebase=tb, households=tuple(households))
+        baselines.append(rng.uniform(0.1, 3.0, tb.n_steps))
+    return scenario_of(baselines, requests, tb)
 
 
 @settings(max_examples=40, deadline=None)

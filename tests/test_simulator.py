@@ -17,7 +17,6 @@ from gridcharge.controllers import (
 from gridcharge.data import synth_scenario
 from gridcharge.domain import (
     ChargingRequest,
-    Household,
     Scenario,
     SimResult,
     Timebase,
@@ -37,13 +36,15 @@ from gridcharge.simulator import (
 MONDAY = datetime(2026, 3, 2)
 
 
+def scenario_of(baseline, requests=()):
+    """Households h0, h1, ... with the given baseline rows, from MONDAY."""
+    baseline = np.atleast_2d(np.asarray(baseline, dtype=float))
+    tb = Timebase(start=MONDAY, n_steps=baseline.shape[1])
+    return Scenario(tb, tuple(f"h{i}" for i in range(len(baseline))), baseline, tuple(requests))
+
+
 def one_request_scenario(request, n_steps=8, base_kw=0.5):
-    h = Household(
-        household_id="h0",
-        baseline_load=np.full(n_steps, base_kw),
-        requests=(request,),
-    )
-    return Scenario(timebase=Timebase(start=MONDAY, n_steps=n_steps), households=(h,))
+    return scenario_of(np.full(n_steps, base_kw), (request,))
 
 
 class Recorder:
@@ -138,20 +139,19 @@ def test_const_charge_is_flat_and_exact():
 def test_back_to_back_requests_hand_over_cleanly():
     first = ChargingRequest("h0", 0, 4, 3.0, 8.0)
     second = ChargingRequest("h0", 4, 8, 2.0, 8.0)
-    h = Household("h0", np.zeros(8), (first, second))
-    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=8), households=(h,))
+    sc = scenario_of(np.zeros(8), (first, second))
     res = SimKernel(sc).run(make_controller(KIND_MAX), warmup_steps=0)
     assert res.per_household_charging.sum() * 0.25 == pytest.approx(5.0, abs=1e-9)
 
 
 def test_baselines_conserve_energy_on_synthetic_data():
     sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), seed=5)
-    want = sum(r.required_energy for r in sc.all_requests())
+    want = sum(r.required_energy for r in sc.requests)
     for kind in (KIND_MAX, KIND_MIN, KIND_CONST):
         res = SimKernel(sc).run(make_controller(kind))
         got = res.per_household_charging.sum() * sc.timebase.step_hours
         assert got == pytest.approx(want, abs=1e-6)
-        base = sc.baseline_matrix().sum(axis=0)
+        base = sc.baseline.sum(axis=0)
         assert np.allclose(res.grid_load, base + res.per_household_charging.sum(axis=0))
 
 
@@ -225,13 +225,10 @@ def _idle_sign_scenario(step_seconds):
     three at every third step and the first at two steps of three."""
     sc, _, _ = synth_scenario(n_households=3, split_days=(2, 1, 1), step_seconds=step_seconds,
                               seed=5)
-    base = sc.baseline_matrix()
+    base = sc.baseline.copy()
     base[:, ::3] = -0.0
     base[0, 1::3] = -0.0
-    households = tuple(
-        replace(h, baseline_load=row) for h, row in zip(sc.households, base)
-    )
-    return replace(sc, households=households)
+    return replace(sc, baseline=base)
 
 
 @pytest.mark.parametrize("step_seconds", [300, 900, 3600])
@@ -327,11 +324,8 @@ class BatchSchedule:
     ],
 )
 def test_batch_failure_is_the_lone_failure_of_its_candidate(requests, failing, message):
-    households = tuple(
-        Household(f"h{i}", np.zeros(8), (ChargingRequest(f"h{i}", *req),))
-        for i, req in enumerate(requests)
-    )
-    sc = Scenario(timebase=Timebase(start=MONDAY, n_steps=8), households=households)
+    sc = scenario_of(np.zeros((len(requests), 8)),
+                     [ChargingRequest(f"h{i}", *req) for i, req in enumerate(requests)])
     eager = Schedule(lambda rem_steps: rem_steps > 0, 2.0)
     with pytest.raises(SimulationIncomplete) as lone:
         SimKernel(sc).run(failing, warmup_steps=0)
