@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import logging
 import re
 import sys
@@ -167,15 +166,20 @@ class TrainLogWriter:
             self.path.unlink()
 
 
+def _split_or(scenario: Scenario, splits: dict, name: str, fallback: Scenario,
+              instead: str) -> Scenario:
+    """The `name` split, or else `fallback` and a warning of what is done `instead`."""
+    if name in splits:
+        return datamod.split_scenario(scenario, splits, name)
+    log.warning("dataset has no %r split; %s", name, instead)
+    return fallback
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     scenario, splits = datamod.load_dataset(args.data)
-    if "train" in splits:
-        train_scenario = datamod.split_scenario(scenario, splits, "train")
-    else:
-        log.warning("dataset has no 'train' split; training on the whole scenario")
-        train_scenario = scenario
+    train_scenario = _split_or(scenario, splits, "train", scenario, "training on the whole scenario")
 
     seeds = np.random.SeedSequence(args.seed).spawn(4)
     init_rng = np.random.default_rng(seeds[0])
@@ -228,11 +232,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
 
     if args.smoothing is None:
-        if "tune" in splits:
-            tune_scenario = datamod.split_scenario(scenario, splits, "tune")
-        else:
-            log.warning("dataset has no 'tune' split; tuning smoothing on the training split")
-            tune_scenario = train_scenario
+        tune_scenario = _split_or(
+            scenario, splits, "tune", train_scenario, "tuning smoothing on the training split"
+        )
         trained, table = tune_smoothing(tune_scenario, trained)
         log.info(
             "smoothing tuned to %.1f (candidates: %s)",
@@ -275,12 +277,9 @@ def _safe_name(name: str) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario, splits = datamod.load_dataset(args.data)
-    if args.split == "all" or args.split not in splits:
-        if args.split != "all":
-            log.warning("dataset has no %r split; evaluating on the whole scenario", args.split)
-        eval_scenario = scenario
-    else:
-        eval_scenario = datamod.split_scenario(scenario, splits, args.split)
+    eval_scenario = scenario if args.split == "all" else _split_or(
+        scenario, splits, args.split, scenario, "evaluating on the whole scenario"
+    )
     if not eval_scenario.requests:
         log.warning(
             "the %r split holds no charging request; every controller will score as no_charge",
@@ -304,9 +303,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         run_dir = out_dir / dir_name
         run_dir.mkdir(exist_ok=True)
         write_loads_out_csv(result, run_dir / "loads_out.csv")
-        write_metrics_json(result, run_dir / "metrics.json")
-        write_changes_csv(result, run_dir / "changes.csv")
         m = result_metrics(result)
+        write_metrics_json(m, run_dir / "metrics.json")
+        write_changes_csv(result, run_dir / "changes.csv")
         summary_rows.append(
             [name] + [repr(m[c]) for c in SUMMARY_COLUMNS[1:]]
         )
@@ -326,7 +325,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         m = result_metrics(oracle.result)
         metrics = dict(m, converged=int(oracle.converged), iterations=oracle.iterations,
                        duality_gap=oracle.duality_gap)
-        (oracle_dir / "oracle_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
+        write_metrics_json(metrics, oracle_dir / "oracle_metrics.json")
         summary_rows.append(["oracle"] + [repr(m[c]) for c in SUMMARY_COLUMNS[1:]])
         log.info("%-24s std %8.3f kW  max %8.3f kW", "oracle", m["std_kw"], m["max_kw"])
 

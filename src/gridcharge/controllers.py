@@ -418,9 +418,7 @@ class LearnedController:
 
     def step(self, x: np.ndarray, req: RequestState) -> np.ndarray:
         """Charging speeds in kW: the policy's rates through the low-pass
-        filter, clipped to [deadline floor, rate limit]."""
-        if self._last_output is None:
-            raise ConfigError("controller used before reset()")
+        filter, clipped to [deadline floor, rate limit]. Needs a `reset` first."""
         r = self.rates(x)
         max_kw = req.max_kw
         # The deadline floor is zero while there is slack, so the policy is

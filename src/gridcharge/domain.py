@@ -18,13 +18,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import ValidationError
 
 SECONDS_PER_DAY = 86400
+T = TypeVar("T")
 
 # A request whose remaining energy falls to or below this is finished; prevents
 # an extra step of infinitesimal charging.
@@ -32,6 +33,10 @@ FINISH_TOL_KWH = 1e-9
 
 # Post-run audit tolerance for delivered-vs-requested energy.
 ENERGY_TOL_KWH = 1e-6
+
+# Largest baseline load (kW) or requested energy (kWh) accepted: far above any
+# household or car, and far below the ~1e150 where squared loads overflow.
+PHYSICAL_CAP = 1e20
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,10 @@ class ChargingRequest:
                 f"request for {self.household_id}: t_arrive={self.t_arrive} must be < "
                 f"t_depart={self.t_depart}"
             )
-        if not 0 <= self.required_energy < math.inf:
+        if not 0 <= self.required_energy <= PHYSICAL_CAP:
             raise ValidationError(
-                f"request for {self.household_id}: required_energy must be finite and >= 0, "
-                f"got {self.required_energy}"
+                f"request for {self.household_id}: required_energy must be finite and in "
+                f"[0, {PHYSICAL_CAP:g}] kWh, got {self.required_energy}"
             )
         if not 0 < self.max_kw < math.inf:
             raise ValidationError(
@@ -177,10 +182,11 @@ class Scenario:
                 f"baseline matrix has shape {base.shape}, expected {len(ids)} households by "
                 f"series length {tb.n_steps}"
             )
-        for what, bad in (("non-finite", ~np.isfinite(base)), ("negative", base < 0)):
+        for what, bad in (("non-finite values", ~np.isfinite(base)), ("negative values", base < 0),
+                          (f"values above {PHYSICAL_CAP:g} kW", base > PHYSICAL_CAP)):
             hit = np.flatnonzero(bad.any(axis=1))
             if hit.size:
-                raise ValidationError(f"household {ids[hit[0]]}: baseline has {what} values")
+                raise ValidationError(f"household {ids[hit[0]]}: baseline has {what}")
         rows = []
         prev = (0, -1)  # row and departure of the request before
         for req in self.requests:
@@ -292,16 +298,10 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> None:
             )
 
 
-def _parse_float(value: str, what: str, row: int, file: str) -> float:
+def _parse(parse: Callable[[str], T], value: str, what: str, row: int, file: str) -> T:
+    """`parse(value)`, or a ValidationError naming the file, row and field."""
     try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{file} row {row}: bad {what} {value!r}") from None
-
-
-def _parse_iso(value: str, what: str, row: int, file: str) -> datetime:
-    try:
-        return datetime.fromisoformat(value)
+        return parse(value)
     except ValueError:
         raise ValidationError(f"{file} row {row}: bad {what} {value!r}") from None
 
@@ -370,7 +370,7 @@ def load_scenario(directory: str | Path) -> Scenario:
                 raise ValidationError(f"loads.csv row {i}: bad baseline_kw {text!r}") from None
             step = stamp_steps.get(stamp)
             if step is None:
-                when = _parse_iso(stamp, "timestamp", i, "loads.csv")
+                when = _parse(datetime.fromisoformat, stamp, "timestamp", i, "loads.csv")
                 if grid is None:
                     try:
                         grid = Timebase(start=when, n_steps=1, step_seconds=step_seconds)
@@ -392,9 +392,10 @@ def load_scenario(directory: str | Path) -> Scenario:
                     f"loads.csv row {i}: household {hid} timestamp {stamp} is step {step}, "
                     f"expected step {len(values)}"
                 )
-            if not 0 <= kw < math.inf:
+            if not 0 <= kw <= PHYSICAL_CAP:
                 raise ValidationError(
-                    f"loads.csv row {i}: baseline_kw must be finite and >= 0, got {text!r}"
+                    f"loads.csv row {i}: baseline_kw must be finite and in [0, {PHYSICAL_CAP:g}], "
+                    f"got {text!r}"
                 )
             values.append(kw)
     if grid is None:
@@ -423,10 +424,10 @@ def load_scenario(directory: str | Path) -> Scenario:
                 hid = row[0]
                 if hid not in requests:
                     raise ValidationError(f"requests.csv row {i}: unknown household {hid!r}")
-                arrive = _parse_iso(row[1], "t_arrive_iso", i, "requests.csv")
-                depart = _parse_iso(row[2], "t_depart_iso", i, "requests.csv")
-                kwh = _parse_float(row[3], "required_kwh", i, "requests.csv")
-                max_kw = _parse_float(row[4], "max_kw", i, "requests.csv")
+                arrive = _parse(datetime.fromisoformat, row[1], "t_arrive_iso", i, "requests.csv")
+                depart = _parse(datetime.fromisoformat, row[2], "t_depart_iso", i, "requests.csv")
+                kwh = _parse(float, row[3], "required_kwh", i, "requests.csv")
+                max_kw = _parse(float, row[4], "max_kw", i, "requests.csv")
                 try:
                     req = ChargingRequest(
                         household_id=hid,

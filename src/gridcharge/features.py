@@ -76,10 +76,10 @@ def encode_time_of_day(seconds_of_day: float) -> tuple[float, float]:
 class RollingBuffer:
     """Fixed-capacity ring buffer over row-parallel series.
 
-    Holds the last `capacity` pushed values for each of `n_rows` independent
-    series. Lag queries clamp to the oldest available entry while the buffer
-    is still filling, so early-run features degrade gracefully instead of
-    reading uninitialized memory.
+    Holds the last `capacity` (>= 1) pushed values for each of `n_rows`
+    series; reads need a push first. Lag queries clamp to the oldest
+    available entry while the buffer is still filling, so early-run features
+    degrade gracefully instead of reading uninitialized memory.
 
     Range invariant: after every push, `lo` and `hi` hold each row's
     `window().min(axis=1)` and `window().max(axis=1)`. A push folds the new
@@ -93,8 +93,6 @@ class RollingBuffer:
     """
 
     def __init__(self, n_rows: int, capacity: int):
-        if capacity < 1:
-            raise ConfigError(f"buffer capacity must be >= 1, got {capacity}")
         self.n_rows = n_rows
         self.capacity = capacity
         self.values = np.zeros((n_rows, capacity))
@@ -128,14 +126,10 @@ class RollingBuffer:
             hi[rows] = np.maximum.reduce(win, axis=1)
 
     def current(self) -> np.ndarray:
-        if self.count == 0:
-            raise ConfigError("buffer read before first push")
         return self.values[:, (self._pos - 1) % self.capacity]
 
     def lagged(self, lag: int) -> np.ndarray:
         """Value `lag` pushes ago; clamped to the oldest entry if short."""
-        if self.count == 0:
-            raise ConfigError("buffer read before first push")
         if lag >= self.count:
             lag = self.count - 1
         return self.values[:, (self._pos - 1 - lag) % self.capacity]
@@ -147,10 +141,8 @@ class RollingBuffer:
         return self.values
 
 
-def history_block(
-    buffer: RollingBuffer, steps_per_hour: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Five summary statistics of recent load per row, shape (n_rows, 5).
+def history_block(buffer: RollingBuffer, steps_per_hour: int, out: np.ndarray) -> np.ndarray:
+    """Five summary statistics of recent load per row, into `out` (n_rows, 5).
 
     Columns: ratio of the current value to the window mean (1.0 when the mean
     is zero), change over one step, over one hour, over three hours, and the
@@ -158,11 +150,9 @@ def history_block(
     the range is degenerate or NaN). The range is the buffer's tracked
     `lo`/`hi`, which equal a full scan of the window; the mean still scans
     the window, because a running sum would round differently. Runs in the
-    per-step hot path, hence the preallocated `out` and the spelled-out
-    ufunc calls.
+    per-step hot path, hence the caller's preallocated `out` and the
+    spelled-out ufunc calls.
     """
-    if out is None:
-        out = np.empty((buffer.n_rows, 5))
     cur = buffer.current()
 
     # The same sum and division as window().mean(axis=1), minus its wrapper.

@@ -107,7 +107,6 @@ def _worker_init(scenario: Scenario, template: ControllerParams) -> None:
 
 
 def _worker_score(run: Run) -> list[float]:
-    assert _WORKER_CTX is not None
     return _score_run(*_WORKER_CTX, run)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Scenario, SimResult
+from .domain import ENERGY_TOL_KWH, Scenario, SimResult
 from .errors import SimulationError
 from .simulator import no_charge_result, resolve_warmup
 
@@ -220,7 +220,7 @@ def optimal_schedule(
 
     delivered = x.sum(axis=1) * tb.step_hours
     worst = float(np.max(np.abs(delivered - np.array([r.required_energy for r in requests]))))
-    if worst > 1e-6:
+    if worst > ENERGY_TOL_KWH:
         raise SimulationError(
             f"optimal schedule violates an energy equality by {worst:.3e} kWh"
         )

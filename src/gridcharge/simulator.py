@@ -66,20 +66,14 @@ N_HISTORY = len(FEATURE_NAMES_GRID)
 OWN_HISTORY = slice(N_LOCAL_FEATURES - N_HISTORY, N_LOCAL_FEATURES)
 
 
-def default_warmup(timebase: Timebase, n_steps: int | None = None) -> int:
-    """One day of steps, or nothing when the run is too short to spare it."""
-    n = timebase.n_steps if n_steps is None else n_steps
-    per_day = timebase.steps_per_day
-    return per_day if n > per_day else 0
-
-
 def resolve_warmup(timebase: Timebase, warmup_steps: int | None, n_steps: int | None = None) -> int:
     """The warmup of a run of `n_steps` (default: the whole timebase):
-    `warmup_steps`, or `default_warmup` when it is None. Raises
-    SimulationError unless it is at least 0 and leaves a step to score."""
+    `warmup_steps`, or when it is None the default, one day of steps, or
+    nothing when the run is too short to spare it. Raises SimulationError
+    unless a given warmup is at least 0 and leaves a step to score."""
     n = timebase.n_steps if n_steps is None else n_steps
     if warmup_steps is None:
-        return default_warmup(timebase, n)
+        return timebase.steps_per_day if n > timebase.steps_per_day else 0
     if warmup_steps < 0:
         raise SimulationError(f"warmup of {warmup_steps} steps is negative")
     if warmup_steps >= n:
@@ -94,7 +88,7 @@ def no_charge_result(scenario: Scenario) -> SimResult:
         timebase=scenario.timebase,
         grid_load=base.sum(axis=0),
         per_household_charging=np.zeros_like(base),
-        warmup_steps=default_warmup(scenario.timebase),
+        warmup_steps=resolve_warmup(scenario.timebase, None),
     )
 
 
@@ -364,8 +358,9 @@ def write_loads_out_csv(result: SimResult, path: str | Path) -> None:
         ]))
 
 
-def write_metrics_json(result: SimResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result_metrics(result), indent=2) + "\n")
+def write_metrics_json(metrics: dict, path: str | Path) -> None:
+    """`metrics` (such as `result_metrics` gives) as indented JSON, in its key order."""
+    Path(path).write_text(json.dumps(metrics, indent=2) + "\n")
 
 
 def write_changes_csv(result: SimResult, path: str | Path) -> None:

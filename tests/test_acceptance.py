@@ -32,7 +32,7 @@ from gridcharge.domain import (
 from gridcharge.features import feature_count
 from gridcharge.optim import cmaes_minimize, minimize_numgrad, train_cma, tune_smoothing
 from gridcharge.oracle import optimal_schedule
-from gridcharge.simulator import SimKernel, default_warmup, objective_std
+from gridcharge.simulator import SimKernel, objective_std, resolve_warmup
 
 ACCEPTANCE_SEED = 11
 REDUCED_SCALE_SEED = 21
@@ -231,7 +231,7 @@ def test_criterion_4_oracle_lower_bound(
 
 def test_criterion_5_peak_preservation(acceptance, acceptance_trained):
     scenario, _ = acceptance
-    warmup = default_warmup(scenario.timebase)
+    warmup = resolve_warmup(scenario.timebase, None)
     no_charge_max = float(scenario.baseline.sum(axis=0)[warmup:].max())
     result = SimKernel(scenario).run(make_controller(acceptance_trained))
     trained_max = float(result.grid_load[warmup:].max())

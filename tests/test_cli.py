@@ -324,6 +324,8 @@ def test_bad_splits_json_value_exits_3(dataset, tmp_path, caplog, field, value):
         ("requests.csv", {"required_kwh": "0", "max_kw": "nan"}),
         ("loads.csv", {"baseline_kw": "nan"}),
         ("loads.csv", {"baseline_kw": "inf"}),
+        ("loads.csv", {"baseline_kw": "1e200"}),
+        ("requests.csv", {"required_kwh": "1e200", "max_kw": "1e300"}),
     ],
 )
 def test_bad_number_in_dataset_csv_exits_3(dataset, tmp_path, caplog, file, fields):

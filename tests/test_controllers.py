@@ -347,23 +347,6 @@ def test_step_zeroes_inactive_households_and_their_memory():
     assert out2[0] > out2[1]
 
 
-def test_step_before_reset_raises():
-    ctl = LearnedController(_nn_params())
-    with pytest.raises(ConfigError, match="reset"):
-        ctl.step(
-            np.zeros((1, 12)),
-            RequestState(
-                np.ones(1),
-                np.array([1.0]),
-                np.array([4.0]),
-                np.array([4.0]),
-                np.array([1.0]),
-                np.array([3.0]),
-                0.25,
-            ),
-        )
-
-
 def test_full_smoothing_ignores_the_policy():
     """With smoothing 1.0 the filter never lets the policy through, so wildly
     different weights must give identical charging."""

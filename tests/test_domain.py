@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge.domain import (
+    PHYSICAL_CAP,
     ChargingRequest,
     Scenario,
     Timebase,
@@ -109,6 +110,26 @@ def test_scenario_names_the_household_of_a_bad_baseline_row(bad, what):
     base[1, 5] = bad
     with pytest.raises(ValidationError, match=f"^household h1: baseline has {what} values$"):
         Scenario(Timebase(start=MONDAY, n_steps=8), ("h0", "h1", "h2"), base)
+
+
+def test_amounts_at_the_physical_cap_load_and_above_it_are_rejected(tmp_path):
+    tb = Timebase(start=MONDAY, n_steps=8)
+    base = np.ones((2, 8))
+    base[1, 2] = PHYSICAL_CAP
+    at_cap = ChargingRequest("h1", t_arrive=0, t_depart=4, required_energy=PHYSICAL_CAP,
+                             max_kw=1e300)
+    save_scenario(Scenario(tb, ("h0", "h1"), base, (at_cap,)), tmp_path)
+    back = load_scenario(tmp_path)
+    assert back.baseline[1, 2] == PHYSICAL_CAP
+    assert back.requests == (at_cap,)
+    over = 2 * PHYSICAL_CAP
+    with pytest.raises(ValidationError, match="required_energy must be finite and in"):
+        ChargingRequest("h1", t_arrive=0, t_depart=4, required_energy=over, max_kw=1e300)
+    base[1, 2] = over
+    with pytest.raises(
+        ValidationError, match=r"^household h1: baseline has values above 1e\+20 kW$"
+    ):
+        Scenario(tb, ("h0", "h1"), base)
 
 
 def test_scenario_rejects_a_request_of_an_unknown_household():

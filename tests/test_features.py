@@ -38,8 +38,6 @@ def test_encode_time_of_day():
 
 def test_rolling_buffer_fill_and_wrap():
     buf = RollingBuffer(n_rows=2, capacity=3)
-    with pytest.raises(ConfigError):
-        buf.current()
     for v in (1.0, 2.0, 3.0, 4.0):
         buf.push(np.array([v, 10 * v]))
     assert buf.count == 3
@@ -51,16 +49,11 @@ def test_rolling_buffer_fill_and_wrap():
     assert sorted(buf.window()[0]) == [2.0, 3.0, 4.0]
 
 
-def test_rolling_buffer_rejects_bad_capacity():
-    with pytest.raises(ConfigError):
-        RollingBuffer(n_rows=1, capacity=0)
-
-
 def test_history_block_values():
     buf = RollingBuffer(n_rows=1, capacity=8)
     for v in (1.0, 2.0, 4.0):
         buf.push(np.array([v]))
-    out = history_block(buf, steps_per_hour=2)
+    out = history_block(buf, steps_per_hour=2, out=np.empty((1, 5)))
     ratio, d_step, d_hour, d_3h, position = out[0]
     assert ratio == pytest.approx(4.0 / (7.0 / 3.0))
     assert d_step == pytest.approx(4.0 - 2.0)
@@ -72,7 +65,7 @@ def test_history_block_values():
 def test_history_block_degenerate_cases():
     buf = RollingBuffer(n_rows=2, capacity=4)
     buf.push(np.zeros(2))
-    out = history_block(buf, steps_per_hour=4)
+    out = history_block(buf, steps_per_hour=4, out=np.empty((2, 5)))
     # Zero mean reports ratio 1; zero span reports mid-range position.
     assert np.array_equal(out[:, 0], [1.0, 1.0])
     assert np.array_equal(out[:, 4], [0.5, 0.5])
@@ -154,7 +147,7 @@ def test_history_block_bits_equal_full_scan(data):
     for column in series:
         buf.push(column)
         with np.errstate(over="ignore"):  # a window sum of huge values is inf
-            got = history_block(buf, steps_per_hour)
+            got = history_block(buf, steps_per_hour, out=np.empty((series.shape[1], 5)))
             want = full_scan_history_block(buf, steps_per_hour)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -169,7 +162,7 @@ def test_zero_minimum_keeps_the_full_scan_sign():
         buf.push(np.array([value]))
         win = buf.window()
         assert np.array_equal(buf.lo.view(np.int64), win.min(axis=1).view(np.int64))
-        got = history_block(buf, 1)
+        got = history_block(buf, 1, out=np.empty((1, 5)))
         assert np.array_equal(got.view(np.int64), full_scan_history_block(buf, 1).view(np.int64))
 
 
@@ -186,7 +179,7 @@ def test_history_block_always_finite_and_bounded(series, steps_per_hour):
     buf = RollingBuffer(n_rows=1, capacity=10)
     for v in series:
         buf.push(np.array([v]))
-    out = history_block(buf, steps_per_hour)
+    out = history_block(buf, steps_per_hour, out=np.empty((1, 5)))
     assert np.all(np.isfinite(out))
     assert 0.0 <= out[0, 4] <= 1.0
     assert out[0, 0] >= 0.0

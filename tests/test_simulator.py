@@ -24,9 +24,9 @@ from gridcharge.domain import (
 from gridcharge.errors import SimulationError, SimulationIncomplete
 from gridcharge.simulator import (
     SimKernel,
-    default_warmup,
     load_changes,
     objective_std,
+    resolve_warmup,
     result_metrics,
     write_changes_csv,
     write_loads_out_csv,
@@ -94,9 +94,9 @@ class EveryStep:
 
 def test_default_warmup_is_one_day_when_affordable():
     tb = Timebase(start=MONDAY, n_steps=4 * 96)
-    assert default_warmup(tb) == 96
-    assert default_warmup(tb, n_steps=96) == 0
-    assert default_warmup(Timebase(start=MONDAY, n_steps=8)) == 0
+    assert resolve_warmup(tb, None) == 96
+    assert resolve_warmup(tb, None, n_steps=96) == 0
+    assert resolve_warmup(Timebase(start=MONDAY, n_steps=8), None) == 0
 
 
 def test_max_charge_delivery_sequence():
@@ -519,7 +519,7 @@ def test_changes_csv_and_metrics_json(tmp_path):
     assert rows[0] == ["change_kw"]
     assert [float(r[0]) for r in rows[1:]] == [2.0, -3.0]
 
-    write_metrics_json(res, tmp_path / "metrics.json")
+    write_metrics_json(result_metrics(res), tmp_path / "metrics.json")
     doc = json.loads((tmp_path / "metrics.json").read_text())
     assert doc["mean_kw"] == pytest.approx(16.0 / 3.0)
     assert set(doc) == {
