@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
@@ -309,45 +310,28 @@ def _parse(parse: Callable[[str], T], value: str, what: str, row: int, file: str
 @contextmanager
 def _csv_reader(path: Path) -> Iterator[Iterator[list[str]]]:
     """A csv.reader over the file `path`. A path that is not a regular file,
-    or bytes that do not decode as text, raise a ValidationError naming it."""
+    bytes that do not decode as text, or a line csv cannot read (such as a
+    field over its size limit) raise a ValidationError naming the file."""
     if not path.is_file():
         raise ValidationError(f"{path} is not a regular file")
     with open(path, newline="") as f:
+        reader = csv.reader(f)
         try:
-            yield csv.reader(f)
+            yield reader
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not valid text ({exc})") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def load_scenario(directory: str | Path) -> Scenario:
-    """Read loads.csv and requests.csv back into a validated Scenario.
-
-    loads.csv follows the contract ``save_scenario`` writes: its first data
-    row sets the start, ``step_seconds`` in its header the step (default
-    900), and every household needs exactly one row per step, starting at
-    the start and in step order. The households may come one after the
-    other or interleaved step by step. A row whose timestamp is off that
-    grid, out of order, repeated or skipping a step is an error; errors cite
-    the offending file and row number. Rows stream through: each distinct
-    timestamp is parsed once. A file that is not a regular file, or whose
-    bytes do not decode as text, is an error naming the file.
-
-    Every requests.csv row, a zero-energy one included, must lie within the
-    scenario, ask no more energy than its window can deliver, and not
-    overlap another row of its household (an overlap names the later of the
-    two rows). Zero-energy requests are then dropped.
-    """
-    directory = Path(directory)
-    loads_path = directory / "loads.csv"
-    requests_path = directory / "requests.csv"
-    if not loads_path.exists():
-        raise ValidationError(f"{directory} is not a dataset directory: {loads_path} missing")
-
+def _read_loads_rows(path: Path) -> tuple[Timebase, tuple[str, ...], np.ndarray]:
+    """The timebase, household ids and baseline matrix of loads.csv, read
+    row by row; see `load_scenario` for the rules and the errors."""
     series: dict[str, list[float]] = {}  # household id -> baseline, in file order
     stamp_steps: dict[str, int] = {}     # timestamp text -> step on the grid
     grid: Timebase | None = None         # start and step; n_steps is known at the end
     step_seconds = 900
-    with _csv_reader(loads_path) as reader:
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header or header[: len(LOADS_HEADER)] != LOADS_HEADER:
             raise ValidationError(f"loads.csv row 1: expected header {LOADS_HEADER}")
@@ -408,9 +392,160 @@ def load_scenario(directory: str | Path) -> Scenario:
             raise ValidationError(
                 f"loads.csv: household {hid} has {len(values)} rows, expected {n_steps}"
             )
+    return tb, tuple(series), np.array(list(series.values()), dtype=float)
+
+
+# loads.csv goes through numpy this many bytes at a time. A line must fit in
+# one block, so the block path never meets a field over csv's size limit of
+# 131072 characters: the row loop reads, and rejects, any file that has one.
+LOADS_BLOCK_BYTES = 1 << 16
+_LOADS_HEADER_LINE = re.compile(
+    rb"timestamp,household_id,baseline_kw,step_seconds=([0-9]{1,9})\r\n")
+
+
+def _byte_fields(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The fields buf[start[i]:stop[i]] as one bytes array, NUL-padded; buf
+    must hold the widest field's width of bytes after every start."""
+    width = stop - start
+    size = max(int(width.max()), 1)
+    out = np.lib.stride_tricks.sliding_window_view(buf, size)[start]
+    if width.min() < size:
+        out *= np.arange(size) < width[:, None]
+    return out.view(f"S{size}").ravel()
+
+
+def _read_loads_blocks(path: Path) -> tuple[Timebase, tuple[str, ...], np.ndarray] | None:
+    """What `_read_loads_rows` returns for loads.csv, parsed with numpy one
+    block of whole lines at a time; or None, leaving the file to the row
+    loop, unless it is exactly what `save_scenario` writes: ASCII with no '"'
+    or NUL, CRLF after every line, two commas per line, household-major rows
+    whose timestamps are the first household's, and every value in [0,
+    PHYSICAL_CAP]. It never raises. Each block's values go through one
+    bytes-to-float64 cast, which accepts and rounds as ``float()`` does."""
+    if not path.is_file():
+        return None
+    # Lines are read into the first half; the second lets `_byte_fields`
+    # gather any field of them at the widest field's width.
+    buf = bytearray(2 * LOADS_BLOCK_BYTES)
+    block = np.frombuffer(buf, dtype=np.uint8)
+    tb: Timebase | None = None
+    stamps = np.array([], dtype="S1")  # the isoformat text of steps 0, 1, ...
+    ids: list[bytes] = []              # household ids in file order
+    chunks: list[np.ndarray] = []      # baseline values in file order
+    n_steps = 0  # rows per household; 0 until the second household starts
+    rows = 0     # data rows before this block
+    kept = 0     # bytes of a partial line moved to the front of the buffer
+    try:
+        with open(path, "rb") as f:
+            header = _LOADS_HEADER_LINE.fullmatch(f.readline(LOADS_BLOCK_BYTES))
+            if header is None:
+                return None
+            step_seconds = int(header[1])
+            # readinto returns 0 at the end of the file, and when a line
+            # fills the whole buffer; either way `kept` then declines.
+            while got := f.readinto(memoryview(buf)[kept:LOADS_BLOCK_BYTES]):
+                filled = kept + got
+                ends = np.flatnonzero(block[:filled] == ord("\n"))
+                if not ends.size:
+                    kept = filled
+                    continue
+                text = block[: ends[-1] + 1]
+                starts = np.concatenate(([0], ends[:-1] + 1))
+                crs = ends - 1
+                commas = np.flatnonzero(text == ord(","))
+                first, second = commas[::2], commas[1::2]
+                # Past this test every field lies within its line, and each
+                # gather below within 4 block sizes.
+                if (text.max() >= 128 or (text == 0).any() or (text == ord('"')).any()
+                        or np.count_nonzero(text == ord("\r")) != ends.size
+                        or commas.size != 2 * ends.size
+                        or (text[crs] != ord("\r")).any()
+                        or (first < starts).any() or (second >= crs).any()
+                        or (crs - starts).max() * ends.size > 4 * text.size):
+                    return None
+                stamp = _byte_fields(block, starts, first)
+                hid = _byte_fields(block, first + 1, second)
+                if tb is None:
+                    try:
+                        start = datetime.fromisoformat(stamp[0].decode())
+                        tb = Timebase(start=start, n_steps=1, step_seconds=step_seconds)
+                    except (ValueError, ValidationError):
+                        return None
+                row = np.arange(rows, rows + ends.size)
+                new = np.empty(ends.size, dtype=bool)  # the row starts a household
+                new[0] = not ids or hid[0] != ids[-1]
+                new[1:] = hid[1:] != hid[:-1]
+                if not n_steps:
+                    later = row[new & (row > 0)]
+                    n_steps = int(later[0]) if later.size else 0
+                step = row % n_steps if n_steps else row
+                if ((step == 0) != new).any():
+                    return None
+                ids.extend(hid[new].tolist())
+                if step.max() >= stamps.size:
+                    try:
+                        more = [tb.step_to_datetime(t).isoformat()
+                                for t in range(stamps.size, int(step.max()) + 1)]
+                    except OverflowError:
+                        return None
+                    stamps = np.concatenate([stamps, np.array(more, dtype="S")])
+                if (stamp != stamps[step]).any():
+                    return None
+                try:
+                    kw = _byte_fields(block, second + 1, crs).astype(np.float64)
+                except ValueError:
+                    return None
+                if not ((kw >= 0) & (kw <= PHYSICAL_CAP)).all():
+                    return None
+                chunks.append(kw)
+                rows += ends.size
+                kept = filled - text.size
+                block[:kept] = block[text.size:filled]
+    except OSError:
+        return None
+    n_steps = n_steps or rows
+    if kept or not rows or rows % n_steps or len(set(ids)) != len(ids):
+        return None
+    return (Timebase(start=tb.start, n_steps=n_steps, step_seconds=step_seconds),
+            tuple(h.decode() for h in ids), np.concatenate(chunks).reshape(-1, n_steps))
+
+
+def load_scenario(directory: str | Path) -> Scenario:
+    """Read loads.csv and requests.csv back into a validated Scenario.
+
+    loads.csv follows the contract ``save_scenario`` writes: its first data
+    row sets the start, ``step_seconds`` in its header the step (default
+    900), and every household needs exactly one row per step, starting at
+    the start and in step order. The households may come one after the
+    other or interleaved step by step. A row whose timestamp is off that
+    grid, out of order, repeated or skipping a step is an error; errors cite
+    the offending file and row number. A file that is not a regular file,
+    whose bytes do not decode as text, or that csv cannot read (such as a
+    field over its size limit) is an error naming the file.
+
+    A loads.csv exactly as `save_scenario` writes it (ASCII, CRLF line ends,
+    no quoted ids, households one after the other) is parsed with numpy in
+    blocks of whole lines; any other file goes through a row loop, in which
+    each distinct timestamp is parsed once. The row loop words every error:
+    the values, errors and exit codes are its own whichever path reads the
+    file.
+
+    Every requests.csv row, a zero-energy one included, must lie within the
+    scenario, ask no more energy than its window can deliver, and not
+    overlap another row of its household (an overlap names the later of the
+    two rows). Zero-energy requests are then dropped.
+    """
+    directory = Path(directory)
+    loads_path = directory / "loads.csv"
+    requests_path = directory / "requests.csv"
+    if not loads_path.exists():
+        raise ValidationError(f"{directory} is not a dataset directory: {loads_path} missing")
+
+    loads = _read_loads_blocks(loads_path)
+    tb, ids, baseline = loads if loads is not None else _read_loads_rows(loads_path)
 
     # household id -> (request, file row) pairs, zero-energy rows included
-    requests: dict[str, list[tuple[ChargingRequest, int]]] = {hid: [] for hid in series}
+    requests: dict[str, list[tuple[ChargingRequest, int]]] = {hid: [] for hid in ids}
     if requests_path.exists():
         with _csv_reader(requests_path) as reader:
             header = next(reader, None)
@@ -453,4 +588,4 @@ def load_scenario(directory: str | Path) -> Scenario:
                 )
         # zero-energy requests are dropped before simulation
         kept.extend(req for req, _ in pairs if req.required_energy != 0)
-    return Scenario(tb, tuple(series), np.array(list(series.values()), dtype=float), tuple(kept))
+    return Scenario(tb, ids, baseline, tuple(kept))

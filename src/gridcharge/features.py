@@ -93,7 +93,6 @@ class RollingBuffer:
     """
 
     def __init__(self, n_rows: int, capacity: int):
-        self.n_rows = n_rows
         self.capacity = capacity
         self.values = np.zeros((n_rows, capacity))
         self.count = 0

@@ -401,6 +401,32 @@ def test_undecodable_byte_exits_3_naming_the_file(dataset, trained, tmp_path, ca
     assert any(file in message for message in errors)
 
 
+def _lengthen_line(path, line, digit, count):
+    """Append `count` copies of `digit` to line `line` (1-based) of the file."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1] += digit * count
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def test_oversized_loads_field_exits_3_naming_the_file(dataset, trained, tmp_path, caplog):
+    rc, errors = _eval_copy(dataset, trained, tmp_path, caplog, "loads.csv",
+                            lambda path: _lengthen_line(path, 6, b"9", 200_000))
+    assert rc == 3
+    assert any("loads.csv line 6: field larger than field limit" in m for m in errors)
+
+
+def test_oversized_requests_field_exits_3_naming_the_file(dataset, tmp_path, caplog):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    _lengthen_line(data / "requests.csv", 3, b"7", 140_000)
+    with caplog.at_level(logging.ERROR, logger="gridcharge"):
+        rc = run("train", "--data", data, "--out", tmp_path / "p.json",
+                 "--iterations", 1, "--popsize", 4)
+    assert rc == 3
+    assert any("requests.csv line 3: field larger than field limit" in r.message
+               for r in caplog.records)
+
+
 def _directory_in_place(path):
     path.unlink()
     path.mkdir()

@@ -1,13 +1,20 @@
 """Core data model: timebase math, validation, CSV IO."""
 
+import functools
 import math
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridcharge import domain
+from gridcharge.cli import main
+from gridcharge.data import synth_scenario
 from gridcharge.domain import (
     PHYSICAL_CAP,
     ChargingRequest,
@@ -398,3 +405,149 @@ def test_load_scenario_rejects_a_household_with_missing_steps(tmp_path):
     write_loads(tmp_path, rows)
     with pytest.raises(ValidationError, match="household h2 has 1 rows, expected 2"):
         load_scenario(tmp_path)
+
+
+# --- loads.csv: the block path against the row loop -------------------------
+
+
+STEPS = 288  # per household in `generated_csv`
+
+
+@functools.cache
+def generated_csv(households):
+    """(loads.csv, requests.csv) bytes of a small generated dataset."""
+    scenario, _, _ = synth_scenario(n_households=households, split_days=(1, 1, 1), seed=6)
+    with tempfile.TemporaryDirectory() as path:
+        save_scenario(scenario, path)
+        return tuple((Path(path) / name).read_bytes() for name in ("loads.csv", "requests.csv"))
+
+
+def load_outcome(directory):
+    """What load_scenario gives: the scenario's parts, or the error text."""
+    try:
+        s = load_scenario(directory)
+    except ValidationError as exc:
+        return str(exc)
+    return s.timebase, s.household_ids, s.baseline.shape, s.baseline.tobytes(), s.requests
+
+
+def _edit_row(loads, row, edit):
+    """loads with line `row` (0 is the header; wrapped) replaced by edit(line)."""
+    lines = loads.split(b"\r\n")
+    row %= len(lines)
+    lines[row] = edit(lines[row])
+    return b"\r\n".join(lines)
+
+
+def _set_value(loads, row, value):
+    return _edit_row(loads, row, lambda line: line.rsplit(b",", 1)[0] + b"," + value)
+
+
+def _step_major(loads):
+    header, *lines = loads.split(b"\r\n")
+    order = sorted(range(len(lines)), key=lambda k: (k % STEPS, k // STEPS))
+    return b"\r\n".join([header, *(lines[k] for k in order)])
+
+
+def _lf_after(loads, row):
+    """loads with a bare LF ending line `row` (wrapped)."""
+    lines = loads.split(b"\r\n")
+    row %= len(lines) - 1
+    lines[row:row + 2] = [lines[row] + b"\n" + lines[row + 1]]
+    return b"\r\n".join(lines)
+
+
+def _swap_rows(loads, row):
+    lines = loads.split(b"\r\n")
+    row %= len(lines) - 1
+    lines[row], lines[row + 1] = lines[row + 1], lines[row]
+    return b"\r\n".join(lines)
+
+
+def _drop_row(loads, row):
+    lines = loads.split(b"\r\n")
+    del lines[row % len(lines)]
+    return b"\r\n".join(lines)
+
+
+def _split_household(loads, row):
+    """Rows `row` to the end of its household renamed to a new household."""
+    for r in range(row, (row - 1) // STEPS * STEPS + STEPS + 1):
+        loads = _edit_row(loads, r, lambda line: line.replace(b",h00", b",h9"))
+    return loads
+
+
+# Each mutation maps (loads, requests, drawn row) to new (loads, requests).
+MUTATIONS = {
+    "lf": lambda lo, rq, i: (lo.replace(b"\r\n", b"\n"), rq),
+    "cr": lambda lo, rq, i: (lo.replace(b"\r\n", b"\r"), rq),
+    "mixed-line-ends": lambda lo, rq, i: (_lf_after(lo, i), rq),
+    "stray-cr": lambda lo, rq, i: (_edit_row(lo, i, lambda line: line + b"\r"), rq),
+    "bom": lambda lo, rq, i: (b"\xef\xbb\xbf" + lo, rq),
+    "quoted-id": lambda lo, rq, i: (lo.replace(b",h001,", b',"h001",'), rq),
+    "quoted-id-once": lambda lo, rq, i: (lo.replace(b",h001,", b',"h001",', 1), rq),
+    "non-ascii-id": lambda lo, rq, i: (lo.replace(b"h001", "h\u00e9".encode()),
+                                       rq.replace(b"h001", "h\u00e9".encode())),
+    "latin-1-id": lambda lo, rq, i: (lo.replace(b"h001", b"h\xe9"), rq),
+    "duplicate-id": lambda lo, rq, i: (lo.replace(b",h002,", b",h000,"), rq),
+    "split-household": lambda lo, rq, i: (_split_household(lo, i), rq),
+    "nul": lambda lo, rq, i: (_edit_row(lo, i, lambda line: line + b"\x00"), rq),
+    "extra-column": lambda lo, rq, i: (_edit_row(lo, i, lambda line: line + b",1"), rq),
+    "underscore": lambda lo, rq, i: (_set_value(lo, i, b"1_0"), rq),
+    "space": lambda lo, rq, i: (_set_value(lo, i, b" 1.5"), rq),
+    "nan": lambda lo, rq, i: (_set_value(lo, i, b"nan"), rq),
+    "overflow": lambda lo, rq, i: (_set_value(lo, i, b"1e400"), rq),
+    "negative-zero": lambda lo, rq, i: (_set_value(lo, i, b"-0.0"), rq),
+    "step-major": lambda lo, rq, i: (_step_major(lo), rq),
+    "swapped-rows": lambda lo, rq, i: (_swap_rows(lo, i), rq),
+    "row-short": lambda lo, rq, i: (_drop_row(lo, i), rq),
+    "blank-line": lambda lo, rq, i: (lo + b"\r\n", rq),
+    "no-final-newline": lambda lo, rq, i: (lo[:-2], rq),
+}
+
+
+def _with_examples(test):
+    """Always try each mutation alone on a row of the second of three
+    households; the last row dropped from the last household; one
+    household's file without its final line end; and, in one block, a bare
+    LF after one line and an extra CR before the CRLF of the next."""
+    cases = [(3, [name], [300, 300]) for name in MUTATIONS] + [
+        (3, ["row-short"], [3 * STEPS, 1]),
+        (1, ["no-final-newline"], [1, 1]),
+        (3, ["mixed-line-ends", "stray-cr"], [300, 301]),
+    ]
+    for households, names, rows in cases:
+        test = example(households=households, mutations=names, rows=rows,
+                       block_bytes=domain.LOADS_BLOCK_BYTES)(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    households=st.sampled_from([1, 3]),
+    mutations=st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=2),
+    rows=st.lists(st.integers(1, 3 * STEPS), min_size=2, max_size=2),
+    block_bytes=st.sampled_from([512, 4096, domain.LOADS_BLOCK_BYTES]),
+)
+def test_block_path_gives_the_row_loops_outcome(tmp_path_factory, households, mutations, rows,
+                                                block_bytes):
+    loads, requests = generated_csv(households)
+    for name, row in zip(mutations, rows):
+        loads, requests = MUTATIONS[name](loads, requests, row)
+    path = tmp_path_factory.mktemp("mutated")
+    (path / "loads.csv").write_bytes(loads)
+    (path / "requests.csv").write_bytes(requests)
+    with mock.patch.object(domain, "LOADS_BLOCK_BYTES", block_bytes):
+        ours = load_outcome(path)
+    with mock.patch.object(domain, "_read_loads_blocks", return_value=None):
+        assert ours == load_outcome(path)
+
+
+def test_a_generated_dataset_takes_the_block_path(tmp_path):
+    assert main(["gen", "--out", str(tmp_path), "--seed", "7", "--config", "households=3",
+                 "--config", "train_days=2", "--config", "tune_days=1",
+                 "--config", "test_days=1"]) == 0
+    with mock.patch.object(domain, "_read_loads_rows", side_effect=AssertionError):
+        scenario = load_scenario(tmp_path)
+    assert scenario.baseline.shape == (3, 4 * 96)

@@ -82,7 +82,7 @@ def test_history_block_out_parameter_is_returned():
 def full_scan_history_block(buffer: RollingBuffer, steps_per_hour: int) -> np.ndarray:
     """history_block as it was before the range was tracked: a full scan of
     the window for its mean, minimum and maximum at every call."""
-    out = np.empty((buffer.n_rows, 5))
+    out = np.empty((len(buffer.values), 5))
     cur = buffer.current()
     win = buffer.window()
     mean = win.mean(axis=1)
