@@ -39,6 +39,7 @@ from .controllers import (
 )
 from .domain import Scenario, SimResult
 from .errors import ConfigError, GridChargeError, ValidationError
+from .features import INPUT_MODES
 from .oracle import REL_TOL as ORACLE_REL_TOL, optimal_schedule
 from .optim import (
     DEFAULT_EPSILON,
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="dataset directory from gen")
     p_train.add_argument("--out", required=True, help="output parameters file (JSON)")
     p_train.add_argument("--controller", choices=TRAINABLE_KINDS, default="nn")
-    p_train.add_argument("--inputs", choices=("h", "a"), default="a",
+    p_train.add_argument("--inputs", choices=INPUT_MODES, default="a",
                          help="h: household-local features, a: household plus grid")
     p_train.add_argument("--optimizer", choices=("cma", "numgrad"), default="cma")
     p_train.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)

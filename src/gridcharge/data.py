@@ -100,10 +100,8 @@ def synth_baselines(
     scaled to the household's own mean consumption level.
     """
     tb = timebase
-    seconds = np.array([tb.seconds_of_day(t) for t in range(tb.n_steps)], dtype=float)
-    weekend = np.array(
-        [1.0 if tb.day_of_week(t) >= 5 else 0.0 for t in range(tb.n_steps)]
-    )
+    seconds, weekday = tb.calendar()
+    weekend = (weekday >= 5).astype(float)
 
     out = np.empty((n_households, tb.n_steps))
     phi = 0.92
@@ -152,20 +150,25 @@ def build_requests(
 
     A travel day d yields a request open from the car's return on day d to
     its departure on day d+1, unless the household skips it (probability
-    SKIP_PROBABILITY). Each household draws one rate limit from
-    MAX_KW_RANGE. Energies are drawn from a gamma distribution
-    and rescaled so total charging is `charging_share` of overall consumption
-    (baseline plus charging). Demands a request window cannot physically
-    absorb are clamped down, with a log note.
+    SKIP_PROBABILITY). Days are calendar days, so the times of day are wall
+    clock whatever the timebase's start; a night whose return falls before
+    the start, or whose departure after the end, yields nothing. Each
+    household draws one rate limit from MAX_KW_RANGE. Energies are drawn from
+    a gamma distribution and rescaled so total charging is `charging_share`
+    of overall consumption (baseline plus charging). Demands a request window
+    cannot physically absorb are clamped down, with a log note.
     """
     if not (0.0 < charging_share < 1.0):
         raise ConfigError(f"charging_share must be in (0, 1), got {charging_share}")
     tb = timebase
-    spd = tb.steps_per_day
-    n_days = tb.n_steps // spd
-    if n_days < 2:
+    if tb.n_steps // tb.steps_per_day < 2:
         raise ConfigError("request generation needs at least two full days")
     n_households = baselines.shape[0]
+    seconds, weekday = tb.calendar()
+    # The first step of each calendar day: step 0, and each step at which the
+    # time of day wraps past midnight.
+    firsts = np.flatnonzero(np.diff(seconds, prepend=np.inf) < 0).tolist()
+    seconds, weekday = seconds.tolist(), weekday.tolist()
 
     by_dow: dict[int, list[TravelRecord]] = {d: [] for d in range(7)}
     for rec in travel_pool:
@@ -175,16 +178,16 @@ def build_requests(
     drafts: list[tuple[int, int, int, float]] = []  # household, arrive, depart, max_kw
     for h in range(n_households):
         max_kw = rng.uniform(*MAX_KW_RANGE)
-        for day in range(n_days - 1):
+        for day, next_day in zip(firsts, firsts[1:]):
             if rng.random() < SKIP_PROBABILITY:
                 continue
-            dow = tb.day_of_week(day * spd)
-            dow_next = tb.day_of_week((day + 1) * spd)
+            dow, dow_next = weekday[day], weekday[next_day]
             back = by_dow[dow][rng.integers(len(by_dow[dow]))]
             away = by_dow[dow_next][rng.integers(len(by_dow[dow_next]))]
-            arrive = day * spd + math.ceil(back.return_s / tb.step_seconds)
-            depart = (day + 1) * spd + math.floor(away.depart_s / tb.step_seconds)
-            if depart <= arrive or depart > tb.n_steps:
+            # A day's first step lies `seconds` after its midnight.
+            arrive = day + math.ceil((back.return_s - seconds[day]) / tb.step_seconds)
+            depart = next_day + math.floor((away.depart_s - seconds[next_day]) / tb.step_seconds)
+            if arrive < 0 or depart <= arrive or depart > tb.n_steps:
                 continue
             drafts.append((h, arrive, depart, max_kw))
 

@@ -72,32 +72,34 @@ class Timebase:
     def step_to_datetime(self, t: int) -> datetime:
         return self.start + timedelta(seconds=t * self.step_seconds)
 
-    def iso_timestamps(self, count: int | None = None) -> list[str]:
-        """``step_to_datetime(t).isoformat()`` for t = 0 .. count - 1 (default:
-        every step): the timestamp column of the CSV files, built once."""
-        count = self.n_steps if count is None else count
-        return [self.step_to_datetime(t).isoformat() for t in range(count)]
+    def iso_timestamps(self, steps: range | None = None) -> list[str]:
+        """``step_to_datetime(t).isoformat()`` for each t in `steps` (default:
+        every step): the timestamp column of the CSV files."""
+        steps = range(self.n_steps) if steps is None else steps
+        return [self.step_to_datetime(t).isoformat() for t in steps]
 
     def datetime_to_step(self, when: datetime) -> int:
         try:
-            delta = (when - self.start).total_seconds()
+            steps, off = divmod(when - self.start, timedelta(seconds=self.step_seconds))
         except TypeError:  # one of the two carries a UTC offset, the other none
             raise ValidationError(
                 f"timestamp {when.isoformat()} and start {self.start.isoformat()} "
                 "differ in whether they carry a UTC offset"
             ) from None
-        steps = delta / self.step_seconds
-        if abs(steps - round(steps)) > 1e-9:
+        if off:
             raise ValidationError(f"timestamp {when.isoformat()} is not aligned to the step grid")
-        return int(round(steps))
+        return steps
 
-    def seconds_of_day(self, t: int) -> int:
-        start_sec = self.start.hour * 3600 + self.start.minute * 60 + self.start.second
-        return (start_sec + t * self.step_seconds) % SECONDS_PER_DAY
-
-    def day_of_week(self, t: int) -> int:
-        """Day of week at step t, Monday=0 .. Sunday=6."""
-        return self.step_to_datetime(t).weekday()
+    def calendar(self) -> tuple[np.ndarray, np.ndarray]:
+        """The wall-clock time of day in seconds and the weekday (Monday=0 ..
+        Sunday=6) of every step, as `step_to_datetime` gives them. Worked out
+        in whole microseconds, so exact at any start."""
+        day_us = SECONDS_PER_DAY * 1_000_000
+        midnight = self.start.replace(hour=0, minute=0, second=0, microsecond=0)
+        elapsed = (self.start - midnight) // timedelta(microseconds=1) + np.arange(
+            self.n_steps, dtype=np.int64) * (self.step_seconds * 1_000_000)
+        days, of_day = np.divmod(elapsed, day_us)
+        return of_day / 1e6, (self.start.weekday() + days) % 7
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,7 @@ def save_scenario(scenario: Scenario, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tb = scenario.timebase
-    stamps = tb.iso_timestamps(tb.n_steps + 1)  # a request may depart at n_steps
+    stamps = tb.iso_timestamps(range(tb.n_steps + 1))  # a request may depart at n_steps
     with open(directory / "loads.csv", "w", newline="") as f:
         csv.writer(f).writerow(LOADS_HEADER + [f"step_seconds={tb.step_seconds}"])
         for hid, values in zip(scenario.household_ids, scenario.baseline.tolist()):
@@ -484,8 +486,7 @@ def _read_loads_blocks(path: Path) -> tuple[Timebase, tuple[str, ...], np.ndarra
                 ids.extend(hid[new].tolist())
                 if step.max() >= stamps.size:
                     try:
-                        more = [tb.step_to_datetime(t).isoformat()
-                                for t in range(stamps.size, int(step.max()) + 1)]
+                        more = tb.iso_timestamps(range(stamps.size, int(step.max()) + 1))
                     except OverflowError:
                         return None
                     stamps = np.concatenate([stamps, np.array(more, dtype="S")])

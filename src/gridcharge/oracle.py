@@ -5,6 +5,13 @@ flattest total load solves a convex quadratic program: minimize the sum over
 all steps of the squared total load, subject to each request's box
 (0 <= speed <= its rate limit) and energy equality.
 
+Each request's per-step bound is its rate limit or, if lower, its whole
+energy as one step's speed (`required_kwh / step_hours`): no schedule that
+meets the equality charges more than that in one step, so the feasible set
+is the same, and the projection's stopping tolerance, a share of the row's
+summed bounds, stays a share of the request's own energy even at a huge
+rate limit.
+
 Solver: accelerated projected gradient (FISTA; Beck & Teboulle, SIAM J.
 Imaging Sci. 2009) with the exact step 1 / L, where L is twice the largest
 number of requests sharing one step, and a restart that drops the momentum
@@ -168,9 +175,9 @@ def optimal_schedule(
     target = np.empty(n_req)
     for r, req in enumerate(requests):
         k = req.total_steps
-        upper[r, :k] = req.max_kw
-        step_of[r, :k] = np.arange(req.t_arrive, req.t_depart)
         target[r] = req.required_energy / tb.step_hours  # sum of kW over steps
+        upper[r, :k] = min(req.max_kw, target[r])
+        step_of[r, :k] = np.arange(req.t_arrive, req.t_depart)
     cells = step_of.ravel()
 
     def by_step(values: np.ndarray) -> np.ndarray:

@@ -104,12 +104,10 @@ class SimKernel:
         self.base = scenario.baseline
         self.base_total = self.base.sum(axis=0)
 
+        seconds, weekday = tb.calendar()
         self.clock = np.empty((n_steps, 3))
-        for t in range(n_steps):
-            c, s = encode_time_of_day(tb.seconds_of_day(t))
-            self.clock[t, 0] = c
-            self.clock[t, 1] = s
-            self.clock[t, 2] = 0.0 if tb.day_of_week(t) >= 5 else 1.0
+        self.clock[:, :2] = [encode_time_of_day(s) for s in seconds.tolist()]
+        self.clock[:, 2] = weekday < 5
 
         # Request-state tables indexed [step, household]; zero outside any
         # request's interval. Inverses are precomputed so the hot loop only

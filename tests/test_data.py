@@ -67,6 +67,28 @@ def test_requests_fit_their_windows():
         assert r.total_steps < 2 * tb.steps_per_day
 
 
+def seconds_of_day(when):
+    return (when - when.replace(hour=0, minute=0, second=0, microsecond=0)).total_seconds()
+
+
+@pytest.mark.parametrize("start", [datetime(2026, 3, 2), datetime(2026, 3, 2, 12),
+                                   datetime(2026, 3, 2, 19, 40, 7)])
+def test_requests_follow_the_wall_clock_at_any_start(start):
+    """Cars come home and leave within the travel pool's times of day, on
+    the grid: an arrival is a return rounded up to a step, a departure a
+    departure rounded down."""
+    sc, _, pool = synth_scenario(n_households=5, split_days=(3, 2, 2), seed=3, start=start)
+    tb = sc.timebase
+    returns = [r.return_s for r in pool]
+    departs = [r.depart_s for r in pool]
+    assert sc.requests
+    for r in sc.requests:
+        arrive = seconds_of_day(tb.step_to_datetime(r.t_arrive))
+        depart = seconds_of_day(tb.step_to_datetime(r.t_depart))
+        assert min(returns) <= arrive < max(returns) + tb.step_seconds
+        assert min(departs) - tb.step_seconds < depart <= max(departs)
+
+
 def test_charging_share_is_close_to_requested():
     sc, _, _ = synth_scenario(n_households=12, split_days=(4, 2, 2), seed=4)
     share = charging_share_of(sc)

@@ -3,7 +3,7 @@
 import functools
 import math
 import tempfile
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -69,16 +69,32 @@ def test_datetime_to_step_rejects_misaligned():
         tb.datetime_to_step(MONDAY + timedelta(seconds=450))
 
 
-def test_seconds_of_day_wraps():
-    tb = Timebase(start=MONDAY.replace(hour=23), n_steps=10)
-    assert tb.seconds_of_day(0) == 23 * 3600
-    assert tb.seconds_of_day(4) == 0  # crossed midnight
+@pytest.mark.parametrize("step_seconds", [1800, 3600])
+def test_datetime_to_step_rejects_a_microsecond_off_the_grid(step_seconds):
+    tb = Timebase(start=MONDAY, n_steps=10, step_seconds=step_seconds)
+    with pytest.raises(ValidationError, match="not aligned to the step grid"):
+        tb.datetime_to_step(MONDAY + timedelta(hours=1, microseconds=1))
 
 
-def test_day_of_week():
-    tb = Timebase(start=MONDAY, n_steps=96 * 7)
-    assert tb.day_of_week(0) == 0
-    assert tb.day_of_week(96 * 5) == 5  # Saturday
+@example(start=MONDAY.replace(hour=23), step_seconds=900, n_steps=10)  # wraps at step 4
+@example(start=MONDAY, step_seconds=900, n_steps=96 * 7)  # Saturday from step 480
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    start=st.datetimes(datetime(2000, 1, 1), datetime(2099, 12, 31),
+                       timezones=st.sampled_from([None, timezone.utc,
+                                                  timezone(timedelta(hours=5, minutes=30)),
+                                                  timezone(-timedelta(hours=8))])),
+    step_seconds=st.sampled_from([300, 600, 900, 1200, 1800, 3600]),
+    n_steps=st.integers(1, 800),
+)
+def test_calendar_matches_step_to_datetime(start, step_seconds, n_steps):
+    tb = Timebase(start=start, n_steps=n_steps, step_seconds=step_seconds)
+    seconds, weekday = tb.calendar()
+    for t in range(n_steps):
+        when = tb.step_to_datetime(t)
+        midnight = when.replace(hour=0, minute=0, second=0, microsecond=0)
+        assert seconds[t] == (when - midnight) / timedelta(seconds=1)
+        assert weekday[t] == when.weekday()
 
 
 # --- Request and scenario validation ---------------------------------------
@@ -368,6 +384,27 @@ def test_load_scenario_rejects_rows_off_the_step_grid(tmp_path, rows, bad_row, m
         load_scenario(tmp_path)
 
 
+@pytest.mark.parametrize("step_seconds", [1800, 3600])
+def test_load_scenario_rejects_a_load_row_a_microsecond_off_the_grid(tmp_path, step_seconds):
+    rows = [("00:00:00", "h1", 1.0), ("01:00:00.000001", "h1", 2.0)]
+    write_loads(tmp_path, rows, step_seconds=step_seconds)
+    with pytest.raises(ValidationError,
+                       match="loads.csv row 3: timestamp .* is not aligned to the step grid"):
+        load_scenario(tmp_path)
+
+
+@pytest.mark.parametrize("step_seconds", [1800, 3600])
+def test_load_scenario_rejects_a_request_a_microsecond_off_the_grid(tmp_path, step_seconds):
+    clocks = [MONDAY + timedelta(seconds=t * step_seconds) for t in range(4 * 3600 // step_seconds)]
+    write_loads(tmp_path, [(f"{c:%H:%M}", "h1", 1.0) for c in clocks], step_seconds=step_seconds)
+    (tmp_path / "requests.csv").write_text(
+        ",".join(domain.REQUESTS_HEADER) + "\n"
+        + "h1,2026-03-02T01:00:00.000001,2026-03-02T03:00:00,1.0,4.0\n")
+    with pytest.raises(ValidationError,
+                       match="requests.csv row 2: timestamp .* is not aligned to the step grid"):
+        load_scenario(tmp_path)
+
+
 def test_load_scenario_rejects_a_second_household_out_of_step(tmp_path):
     rows = [("00:00", "h1", 1.0), ("00:15", "h1", 1.0), ("00:00", "h2", 1.0), ("00:00", "h2", 1.0)]
     write_loads(tmp_path, rows)
@@ -503,6 +540,8 @@ MUTATIONS = {
     "row-short": lambda lo, rq, i: (_drop_row(lo, i), rq),
     "blank-line": lambda lo, rq, i: (lo + b"\r\n", rq),
     "no-final-newline": lambda lo, rq, i: (lo[:-2], rq),
+    "microsecond-off-grid": lambda lo, rq, i: (
+        _edit_row(lo, i, lambda line: line.replace(b",", b".000001,", 1)), rq),
 }
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -170,6 +171,17 @@ def test_oracle_schedule_is_feasible():
         assert np.all(window >= -1e-12)
         assert window.sum() * dh == pytest.approx(r.required_energy, abs=1e-6)
     assert np.all(res.result.per_household_charging[~covered] == 0.0)
+
+
+@pytest.mark.parametrize("max_kw", [1e9, 1e12, 1e15])
+def test_oracle_meets_every_energy_at_a_huge_rate_limit(max_kw):
+    sc, _, _ = synth_scenario(n_households=2, seed=7)
+    first = replace(sc.requests[0], max_kw=max_kw)
+    sc = Scenario(sc.timebase, sc.household_ids, sc.baseline, (first, *sc.requests[1:]))
+    res = optimal_schedule(sc)
+    window = res.result.per_household_charging[sc.request_rows[0], first.t_arrive:first.t_depart]
+    assert window.sum() * sc.timebase.step_hours == pytest.approx(first.required_energy, abs=1e-6)
+    assert res.converged
 
 
 def test_oracle_result_consistent_with_its_simulation():
