@@ -76,6 +76,20 @@ def test_datetime_to_step_rejects_a_microsecond_off_the_grid(step_seconds):
         tb.datetime_to_step(MONDAY + timedelta(hours=1, microseconds=1))
 
 
+def test_seconds_of_day_wraps():
+    tb = Timebase(start=MONDAY.replace(hour=23), n_steps=10)
+    seconds, _ = tb.calendar()
+    assert seconds[0] == 23 * 3600
+    assert seconds[4] == 0  # crossed midnight
+
+
+def test_day_of_week():
+    tb = Timebase(start=MONDAY, n_steps=96 * 7)
+    _, weekday = tb.calendar()
+    assert weekday[0] == 0
+    assert weekday[96 * 5] == 5  # Saturday
+
+
 @example(start=MONDAY.replace(hour=23), step_seconds=900, n_steps=10)  # wraps at step 4
 @example(start=MONDAY, step_seconds=900, n_steps=96 * 7)  # Saturday from step 480
 @settings(max_examples=60, deadline=None, derandomize=True)
