@@ -68,8 +68,17 @@ def deadline_floor_kw(
     """The just-in-time rate: what must be charged now so that full-speed
     charging for the rest of the window can still finish the request. Zero
     while there is slack."""
-    slack_kwh = max_kw * (np.maximum(remaining_steps, 1.0) - 1.0) * step_hours
-    return np.minimum(np.maximum(remaining_kwh - slack_kwh, 0.0) / step_hours, max_kw)
+    # In place, with the operands of
+    # min(max(remaining_kwh - max_kw * (max(remaining_steps, 1) - 1) * step_hours, 0)
+    #     / step_hours, max_kw).
+    slack_kwh = np.maximum(remaining_steps, 1.0)
+    slack_kwh -= 1.0
+    slack_kwh *= max_kw
+    slack_kwh *= step_hours
+    floor = remaining_kwh - slack_kwh
+    np.maximum(floor, 0.0, out=floor)
+    floor /= step_hours
+    return np.minimum(floor, max_kw, out=floor)
 
 
 class RequestState(NamedTuple):
@@ -367,6 +376,8 @@ class LearnedController:
                 replace(params, theta=t, smoothing=b)
             theta = np.asarray(thetas, dtype=float)
             self.smoothing = np.asarray(betas, dtype=float)[:, None]
+        # The output stage weighs the policy's new rate by 1 - smoothing.
+        self._fresh_weight = 1.0 - self.smoothing
         # Weights carry the candidate axis first (none for a lone controller),
         # laid out so that `@` broadcasts over it.
         lead = theta.shape[:-1]
@@ -424,9 +435,13 @@ class LearnedController:
         # The deadline floor is zero while there is slack, so the policy is
         # free to defer charging entirely.
         floor = deadline_floor_kw(req.remaining_kwh, req.remaining_steps, max_kw, req.step_hours)
-        beta = self.smoothing
-        blended = beta * self._last_output + (1.0 - beta) * max_kw * r
-        out = np.minimum(np.maximum(blended, floor), max_kw)
+        # In place, with the operands of min(max(beta * last +
+        # (1 - beta) * max_kw * r, floor), max_kw) * active.
+        out = self._fresh_weight * max_kw
+        out *= r
+        out += self.smoothing * self._last_output
+        np.maximum(out, floor, out=out)
+        np.minimum(out, max_kw, out=out)
         out *= req.active
         self._last_output = out
         return out

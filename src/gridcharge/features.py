@@ -82,14 +82,17 @@ class RollingBuffer:
     degrade gracefully instead of reading uninitialized memory.
 
     Range invariant: after every push, `lo` and `hi` hold each row's
-    `window().min(axis=1)` and `window().max(axis=1)`. A push folds the new
-    column in with `np.minimum`/`np.maximum` and rescans only the rows whose
-    evicted value may have been an extreme (it was not strictly inside the
-    range). A NaN counts in the range while, and only while, it is in the
-    window, as it does in the full scan: comparisons with NaN are false, so
-    a row whose range or evicted value is NaN is rescanned. A row whose
-    minimum is zero is rescanned too, so that the sign of a zero minimum is
-    the full scan's, bit for bit.
+    `window().min(axis=1)` and `window().max(axis=1)`, bit for bit. A push
+    folds the new column in with `np.minimum`/`np.maximum` and rescans only
+    the rows whose evicted value may have been an extreme (it was not
+    strictly inside the range). A NaN counts in the range while, and only
+    while, it is in the window, as it does in the full scan: comparisons
+    with NaN are false, so a row whose range or evicted value is NaN is
+    rescanned. A row whose minimum is not positive is rescanned too, so that
+    the sign of a zero minimum or maximum is the full scan's; loads are
+    positive in practice, so this costs nothing there. `push_block` pushes
+    many columns and rescans every row once, which meets the invariant by
+    definition.
     """
 
     def __init__(self, n_rows: int, capacity: int):
@@ -112,17 +115,38 @@ class RollingBuffer:
         lo, hi = self.lo, self.hi
         np.minimum(lo, slot, out=lo)
         np.maximum(hi, slot, out=hi)
-        keep = lo != 0.0
+        keep = lo > 0.0
         if evicting:
             # Only a value strictly inside the range cannot have been the
             # extreme; false for NaN too.
             keep &= evicted < hi
             keep &= evicted > lo
-        if not keep.all():
-            rows = np.flatnonzero(~keep)
+        if not np.logical_and.reduce(keep):
+            rows = np.logical_not(keep).nonzero()[0]
             win = self.window()[rows]
             lo[rows] = np.minimum.reduce(win, axis=1)
             hi[rows] = np.maximum.reduce(win, axis=1)
+
+    def push_block(self, block: np.ndarray) -> None:
+        """Push the m columns of `block` in order, as m calls of `push` would,
+        with one full scan for the range. `block` is (g, m) for a g that
+        divides n_rows; it stands for itself repeated down the rows, so that
+        (n_rows, m) is one block of every row. Only the last `capacity`
+        columns reach the ring; the others would be evicted."""
+        m = block.shape[1]
+        cap = self.capacity
+        kept = block[:, max(m - cap, 0) :]
+        n = kept.shape[1]
+        first = (self._pos + m - n) % cap
+        head = min(n, cap - first)
+        ring = self.values.reshape(-1, len(block), cap)
+        ring[..., first : first + head] = kept[:, :head]
+        ring[..., : n - head] = kept[:, head:]
+        self._pos = (self._pos + m) % cap
+        self.count = min(self.count + m, cap)
+        win = self.window()
+        np.minimum.reduce(win, axis=1, out=self.lo)
+        np.maximum.reduce(win, axis=1, out=self.hi)
 
     def current(self) -> np.ndarray:
         return self.values[:, (self._pos - 1) % self.capacity]

@@ -37,11 +37,14 @@ Controller contract, as `SimKernel.run` uses it:
                  commands 0 kW everywhere and ends in the state `reset` leaves
 
 For a controller that declares `idle_is_reset`, `run` does not step idle
-steps: it audits departures, pushes the load history (which still carries
-the previous step's delivery), calls `reset` once at the start of each idle
-stretch, and records the baseline total as the grid load. The output arrays
-are bit for bit those of stepping every step. A controller without the
-attribute is stepped at every step."""
+steps. At the first step of an idle stretch it audits departures, pushes the
+load history (which still carries the previous step's delivery) and calls
+`reset`. The rest of the stretch, up to the end of the run, costs one block:
+a block push of the baseline columns into the history, which rescans its
+range once, and one slice write of the baseline total as the grid load. No
+request arrives or departs inside a stretch after its first step, so the
+block needs no audit. The output arrays are bit for bit those of stepping
+every step. A controller without the attribute is stepped at every step."""
 
 from __future__ import annotations
 
@@ -138,10 +141,13 @@ class SimKernel:
             self.required[t0:t1, h] = req.required_energy
             self.max_kw[t0:t1, h] = req.max_kw
             self.frac_steps[t0:t1, h] = left / (t1 - t0)
-            if req.required_energy > 0:
+            if req.required_energy > FINISH_TOL_KWH:
+                # A request owing no more than the finish tolerance is never
+                # active, and its reciprocals may overflow: inf times its
+                # inactive 0 would be NaN. Its features stay +0.0.
                 self.inv_required[t0:t1, h] = 1.0 / req.required_energy
+                self.inv_max_kw[t0:t1, h] = 1.0 / req.max_kw
             self.inv_rem_energy[t0:t1, h] = 1.0 / (left * dh)
-            self.inv_max_kw[t0:t1, h] = 1.0 / req.max_kw
             self.headroom_tol[t0:t1, h] = req.max_kw * left * dh + ENERGY_TOL_KWH
             rows, owed = arrivals.setdefault(t0, ([], []))
             rows.append(h)
@@ -152,8 +158,16 @@ class SimKernel:
             for t, (rows, vals) in arrivals.items()
         }
         self.departures = {t: np.asarray(rows, dtype=np.intp) for t, rows in departures.items()}
-        # Steps at which no household has an open request.
+        # Steps at which no household has an open request, and for each step
+        # the first step from it on that has one (n_steps if none does): step
+        # t is idle when stretch_end[t] > t, and its stretch runs to
+        # stretch_end[t]. A list, because the step loop reads one entry at a
+        # time.
         self.idle = ~self.covered.any(axis=1)
+        busy = np.flatnonzero(~self.idle)
+        self.stretch_end = np.append(busy, n_steps)[
+            np.searchsorted(busy, np.arange(n_steps))
+        ].tolist()
 
     @staticmethod
     def _first_failure(failed: np.ndarray, score: np.ndarray) -> tuple[int, int]:
@@ -195,7 +209,8 @@ class SimKernel:
         step of an `idle_is_reset` controller commands nothing, so nothing
         non-finite can come from it: such a controller's non-finite output
         is seen at the first step with an open request, in a lone run and a
-        batch alike.
+        batch alike. Such a controller's idle stretch costs one step and one
+        block, whatever its length (see the module docstring).
         """
         tb = self.timebase
         end = tb.n_steps if end_step is None else end_step
@@ -207,6 +222,7 @@ class SimKernel:
         n_house = self.scenario.n_households
         dh = tb.step_hours
         inv_dh = 1.0 / dh
+        base, base_total = self.base, self.base_total
         # Every per-household array gets the candidate axis first; a lone
         # controller has none.
         lone = controller.candidates is None
@@ -215,7 +231,7 @@ class SimKernel:
 
         needs_features = controller.input_mode is not None
         grid_mode = controller.input_mode == INPUT_ALL
-        x = buf = hist = obs = obs_rows = hist_rows = None
+        x = None
         if needs_features:
             steps_per_hour = tb.steps_per_hour
             x = np.zeros(lead + (n_house, feature_count(controller.input_mode)))
@@ -223,77 +239,115 @@ class SimKernel:
             # the whole history block is computed in a single pass.
             rows = n_house + 1 if grid_mode else n_house
             obs = np.empty(lead + (rows,))
+            obs_house = obs[..., :n_house]
             buf = RollingBuffer(obs.size, tb.steps_per_day)
             hist = np.empty(lead + (rows, N_HISTORY))
             obs_rows = obs.reshape(-1)
             hist_rows = hist.reshape(-1, N_HISTORY)
+            # Views into x and hist, made once per run.
+            x_clock, x_frac, x_energy = x[..., 0:3], x[..., 3], x[..., 4]
+            x_min_rate, x_const_rate = x[..., 5], x[..., 6]
+            x_own, hist_own = x[..., OWN_HISTORY], hist[..., :n_house, :]
+            if grid_mode:
+                x_grid, hist_grid = x[..., N_LOCAL_FEATURES:], hist[..., n_house, None, :]
 
         grid = np.empty(lead + (n_out,))
         charging = np.zeros(lead + (n_house, n_out))
         remaining = np.zeros(lead + (n_house,))
         delivered = no_delivery = np.zeros(lead + (n_house,))
 
-        idle = self.idle if getattr(controller, "idle_is_reset", False) else None
+        skip_idle = getattr(controller, "idle_is_reset", False)
+        stretch_end, departures, arrivals = self.stretch_end, self.departures, self.arrivals
         in_idle_stretch = True  # the controller is in its reset state
-        for t in range(start_step, end):
-            self._audit_departures(t, remaining)
+        t = start_step
+        while t < end:
+            if t in departures:
+                self._audit_departures(t, remaining)
             if needs_features:
-                np.add(self.base[:, t], delivered, out=obs[..., :n_house])
+                np.add(base[:, t], delivered, out=obs_house)
                 if grid_mode:
-                    obs[..., n_house] = obs[..., :n_house].sum(axis=-1)
+                    obs[..., n_house] = np.add.reduce(obs_house, axis=-1)
                 buf.push(obs_rows)
 
             i = t - start_step
-            if idle is not None and idle[t]:
+            if skip_idle and stretch_end[t] > t:
                 # No request is open: the controller would command 0 kW and
                 # end the step in its reset state, so only the history moves.
                 if not in_idle_stretch:
                     controller.reset(n_house)
                     delivered = no_delivery
                     in_idle_stretch = True
-                total = self.base_total[t] + 0.0
-            else:
-                in_idle_stretch = False
-                arrival = self.arrivals.get(t)
-                if arrival is not None:
-                    remaining[..., arrival[0]] = arrival[1]
-
-                active = self.covered[t] & (remaining > FINISH_TOL_KWH)
-                stuck = remaining > self.headroom_tol[t]
-                if stuck.any():
-                    k, h = self._first_failure(stuck, remaining - self.headroom_tol[t])
-                    raise SimulationIncomplete(
-                        f"household {self.scenario.household_ids[h]} cannot finish "
-                        f"its request from step {t}: "
-                        f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
-                    )
-
-                if needs_features:
-                    x[..., 0:3] = self.clock[t]
-                    np.multiply(self.frac_steps[t], active, out=x[..., 3])
-                    x[..., 4] = remaining * self.inv_required[t] * active
-                    flat = remaining * self.inv_rem_energy[t]
-                    np.minimum(flat, self.max_kw[t], out=flat)
-                    x[..., 5] = flat * self.inv_max_kw[t] * active
-                    x[..., 6] = x[..., 5]
-                    history_block(buf, steps_per_hour, out=hist_rows)
-                    x[..., OWN_HISTORY] = hist[..., :n_house, :]
+                # The rest of the stretch delivers nothing and holds no
+                # arrival or departure (a departure at s needs s - 1 covered,
+                # an arrival at s covers s): one block push and one write.
+                stop = min(stretch_end[t], end)
+                if needs_features and stop > t + 1:
+                    # Households along a contiguous axis, so that each step's
+                    # grid row is summed as the step above sums it.
+                    block = np.empty((stop - t - 1, rows))
+                    np.add(base[:, t + 1 : stop].T, 0.0, out=block[:, :n_house])
                     if grid_mode:
-                        x[..., N_LOCAL_FEATURES:] = hist[..., n_house, None, :]
+                        np.add.reduce(block[:, :n_house], axis=-1, out=block[:, n_house])
+                    buf.push_block(block.T)
+                total = base_total[t:stop] + 0.0
+                finite = np.isfinite(total)
+                if not np.logical_and.reduce(finite):
+                    raise SimulationError(
+                        f"controller produced a non-finite load at step {t + int(np.argmin(finite))}"
+                    )
+                grid[..., i : i + stop - t] = total
+                t = stop
+                continue
 
-                req = RequestState(
-                    active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
-                    self.max_kw[t], dh,
+            in_idle_stretch = False
+            arrival = arrivals.get(t)
+            if arrival is not None:
+                remaining[..., arrival[0]] = arrival[1]
+
+            active = self.covered[t] & (remaining > FINISH_TOL_KWH)
+            headroom = self.headroom_tol[t]
+            stuck = remaining > headroom
+            if np.logical_or.reduce(stuck, axis=None):
+                k, h = self._first_failure(stuck, remaining - headroom)
+                raise SimulationIncomplete(
+                    f"household {self.scenario.household_ids[h]} cannot finish "
+                    f"its request from step {t}: "
+                    f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
                 )
-                speeds = controller.step(x, req)
-                delivered = np.minimum(speeds, np.maximum(remaining, 0.0) * inv_dh)
-                charging[..., i] = delivered
-                remaining -= delivered * dh
-                total = self.base_total[t] + delivered.sum(axis=-1)
 
-            if not (math.isfinite(total) if lone else np.isfinite(total).all()):
+            max_kw = self.max_kw[t]
+            if needs_features:
+                on = active.astype(float)
+                x_clock[...] = self.clock[t]
+                np.multiply(self.frac_steps[t], on, out=x_frac)
+                np.multiply(remaining, self.inv_required[t], out=x_energy)
+                x_energy *= on
+                flat = remaining * self.inv_rem_energy[t]
+                np.minimum(flat, max_kw, out=flat)
+                flat *= self.inv_max_kw[t]
+                flat *= on
+                x_min_rate[...] = flat
+                x_const_rate[...] = flat
+                history_block(buf, steps_per_hour, out=hist_rows)
+                x_own[...] = hist_own
+                if grid_mode:
+                    x_grid[...] = hist_grid
+
+            req = RequestState(
+                active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
+                max_kw, dh,
+            )
+            speeds = controller.step(x, req)
+            delivered = np.maximum(remaining, 0.0)
+            delivered *= inv_dh
+            np.minimum(speeds, delivered, out=delivered)
+            charging[..., i] = delivered
+            remaining -= delivered * dh
+            total = base_total[t] + np.add.reduce(delivered, axis=-1)
+            if not (math.isfinite(total) if lone else np.logical_and.reduce(np.isfinite(total))):
                 raise SimulationError(f"controller produced a non-finite load at step {t}")
             grid[..., i] = total
+            t += 1
 
         self._audit_departures(end, remaining)
 

@@ -427,6 +427,45 @@ def test_oversized_requests_field_exits_3_naming_the_file(dataset, tmp_path, cap
                for r in caplog.records)
 
 
+def _train_and_eval_with_first_request(tmp_path, required_kwh, max_kw):
+    """Exit codes of `train` nn-a and of `eval --split all` on a seed-7
+    EMPTY_TEST dataset whose first request (arriving at step 82) is changed
+    to `required_kwh` and `max_kw`, and the summary rows of the eval."""
+    data = tmp_path / "data"
+    assert run("gen", "--out", data, "--seed", 7, *EMPTY_TEST) == 0
+    path = data / "requests.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[1].split(b",")
+    fields[3], fields[4] = required_kwh.encode(), max_kw.encode()
+    lines[1] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    params, out = tmp_path / "p.json", tmp_path / "o"
+    codes = [
+        run("train", "--data", data, "--out", params, "--inputs", "a",
+            "--iterations", 1, "--popsize", 2, "--workers", 1),
+        run("eval", "--data", data, "--out", out, "--split", "all", "--params", params),
+    ]
+    with open(out / "summary.csv", newline="") as f:
+        return codes, list(csv.reader(f))[1:]
+
+
+# A request that owes no more than the finish tolerance is never active; the
+# reciprocals of a subnormal energy or rate limit overflow, and inf times the
+# inactive request's 0 made every learned controller's load NaN.
+def test_a_subnormal_required_kwh_trains_and_evaluates(tmp_path):
+    codes, rows = _train_and_eval_with_first_request(tmp_path, "5e-324", "6.160221177847866")
+    assert codes == [0, 0]
+    assert [r[0] for r in rows][-2:] == ["nn-a+cma", "oracle"]
+    assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
+
+
+def test_a_subnormal_rate_limit_trains_and_evaluates(tmp_path):
+    codes, rows = _train_and_eval_with_first_request(tmp_path, "1e-12", "1e-310")
+    assert codes == [0, 0]
+    assert [r[0] for r in rows][-2:] == ["nn-a+cma", "oracle"]
+    assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
+
+
 def _directory_in_place(path):
     path.unlink()
     path.mkdir()

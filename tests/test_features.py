@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcharge.errors import ConfigError
@@ -134,8 +134,8 @@ def test_tracked_range_equals_full_scan(data):
     for column in series:
         buf.push(column)
         win = buf.window()
-        assert np.array_equal(buf.lo, win.min(axis=1), equal_nan=True)
-        assert np.array_equal(buf.hi, win.max(axis=1), equal_nan=True)
+        assert np.array_equal(buf.lo.view(np.int64), win.min(axis=1).view(np.int64))
+        assert np.array_equal(buf.hi.view(np.int64), win.max(axis=1).view(np.int64))
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,6 +152,58 @@ def test_history_block_bits_equal_full_scan(data):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def assert_same_buffer(got: RollingBuffer, want: RollingBuffer) -> None:
+    """Bit for bit: values, range (zero signs and NaN rows included), count
+    and every read."""
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    assert got.count == want.count
+    for name in ("values", "lo", "hi"):
+        assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name))), name
+    assert np.array_equal(bits(got.current()), bits(want.current()))
+    for lag in range(got.capacity + 2):
+        assert np.array_equal(bits(got.lagged(lag)), bits(want.lagged(lag))), lag
+
+
+BLOCK_ELEMENT = st.one_of(
+    st.sampled_from(SPECIAL_VALUES + (math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    capacity=st.sampled_from((1, 2, 3, 5, 24)),
+    rows=st.integers(1, 3),
+    groups=st.integers(1, 3),
+    before=st.integers(0, 60),
+    length=st.integers(1, 80),
+    palette=st.lists(BLOCK_ELEMENT, min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a buffer still filling after the block
+@example(capacity=24, rows=2, groups=1, before=3, length=5, palette=[0.0, -0.0, 1.0], seed=1)
+# a block that wraps the ring
+@example(capacity=5, rows=2, groups=2, before=3, length=4, palette=[-0.0, 2.5, math.nan], seed=2)
+# a block longer than the capacity
+@example(capacity=5, rows=3, groups=1, before=7, length=13, palette=[0.0, -1.0, 5e-324], seed=3)
+def test_block_push_equals_one_push_per_column(capacity, rows, groups, before, length, palette,
+                                               seed):
+    """push_block of a (rows, length) block into a buffer of `groups` copies
+    of the rows leaves what `length` pushes of the repeated columns leave."""
+    rng = np.random.default_rng(seed)
+    series = np.asarray(palette)[rng.integers(len(palette), size=(before + length, rows))]
+    one, block = RollingBuffer(rows * groups, capacity), RollingBuffer(rows * groups, capacity)
+    for column in series[:before]:
+        one.push(np.tile(column, groups))
+        block.push(np.tile(column, groups))
+    for column in series[before:]:
+        one.push(np.tile(column, groups))
+    block.push_block(series[before:].T)
+    assert_same_buffer(block, one)
+
+
 def test_zero_minimum_keeps_the_full_scan_sign():
     # The last push leaves -0.0 and 0.0 in the window and evicts 1.0, which
     # was inside the range. np.minimum keeps the newer zero, the full scan
@@ -164,6 +216,17 @@ def test_zero_minimum_keeps_the_full_scan_sign():
         assert np.array_equal(buf.lo.view(np.int64), win.min(axis=1).view(np.int64))
         got = history_block(buf, 1, out=np.empty((1, 5)))
         assert np.array_equal(got.view(np.int64), full_scan_history_block(buf, 1).view(np.int64))
+
+
+def test_zero_maximum_keeps_the_full_scan_sign():
+    # The last push leaves 0.0 and -0.0 in the window and evicts -1.0, which
+    # was inside the range; np.maximum keeps the newer zero. The sign of a
+    # zero maximum enters no feature, but a block push rescans, so the
+    # tracked maximum must be the full scan's for the two to agree.
+    buf = RollingBuffer(n_rows=1, capacity=3)
+    for value in (-1.0, -2.0, 0.0, -0.0):
+        buf.push(np.array([value]))
+        assert np.array_equal(buf.hi.view(np.int64), buf.window().max(axis=1).view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,7 @@ from gridcharge.domain import (
     Timebase,
 )
 from gridcharge.errors import SimulationError, SimulationIncomplete
+from gridcharge.features import RollingBuffer
 from gridcharge.simulator import (
     SimKernel,
     load_changes,
@@ -231,15 +232,9 @@ def _idle_sign_scenario(step_seconds):
     return replace(sc, baseline=base)
 
 
-@pytest.mark.parametrize("step_seconds", [300, 900, 3600])
-def test_skipping_idle_steps_changes_no_bit(step_seconds):
-    sc = _idle_sign_scenario(step_seconds)
-    kernel = SimKernel(sc)
-    idle = kernel.idle
-    assert idle.any() and not idle.all()
-    # a window start inside an idle stretch: idle before, at and after it
-    inside = np.flatnonzero(idle[:-2] & idle[1:-1] & idle[2:]) + 1
-    start = int(inside[len(inside) // 2])
+def _assert_skipping_changes_no_bit(kernel, windows):
+    """Every idle_is_reset controller family, lone and batched, gives the
+    same bits with idle steps skipped as stepped, over each window."""
     rng = np.random.default_rng(2)
     controllers = [make_controller(kind) for kind in (KIND_MAX, KIND_MIN, KIND_CONST)]
     for mode in ("h", "a"):
@@ -251,12 +246,101 @@ def test_skipping_idle_steps_changes_no_bit(step_seconds):
         controllers.append(make_controller(template, thetas, [0.0, 0.3, 0.9, 1.0]))
     for controller in controllers:
         assert controller.idle_is_reset
-        for window in ({}, {"start_step": start, "warmup_steps": 0}):
+        for window in windows:
             skipped = kernel.run(controller, **window)
             stepped = kernel.run(EveryStep(controller), **window)
             assert skipped.grid_load.tobytes() == stepped.grid_load.tobytes()
             charging = skipped.per_household_charging
             assert charging.tobytes() == stepped.per_household_charging.tobytes()
+
+
+@pytest.mark.parametrize("step_seconds", [300, 900, 3600])
+def test_skipping_idle_steps_changes_no_bit(step_seconds):
+    sc = _idle_sign_scenario(step_seconds)
+    kernel = SimKernel(sc)
+    idle = kernel.idle
+    assert idle.any() and not idle.all()
+    # steps inside an idle stretch: idle before, at and after them
+    inside = np.flatnonzero(idle[:-2] & idle[1:-1] & idle[2:]) + 1
+    start = int(inside[len(inside) // 2])
+    # an end inside a stretch that a busy step follows, so the run stops
+    # before the stretch does
+    ends = inside[inside < np.flatnonzero(~idle)[-1]]
+    end = int(ends[len(ends) // 2])
+    assert kernel.stretch_end[end] < sc.timebase.n_steps
+    windows = (
+        {},
+        {"start_step": start, "warmup_steps": 0},
+        {"end_step": end, "warmup_steps": 0},
+    )
+    _assert_skipping_changes_no_bit(kernel, windows)
+
+
+def _long_idle_kernel():
+    """120 hourly steps, idle from 0 to 3, from 9 to 80 and from 92 to the
+    end. At 3600-s steps the history ring holds 24 steps, so the last two
+    stretches outlast it; the first of them follows a departure whose last
+    step the deadline floor may serve. Twelve households, because a grid
+    row of eight or more sums pairwise, and a sum over the wrong axis of
+    the block would round differently."""
+    n_steps = 120
+    tb = Timebase(start=MONDAY, n_steps=n_steps, step_seconds=3600)
+    baseline = np.random.default_rng(4).uniform(0.2, 3.0, (12, n_steps))
+    requests = [
+        ChargingRequest("h0", 3, 9, 6.0, 3.0),
+        ChargingRequest("h1", 5, 9, 4.0, 2.0),
+        *(ChargingRequest(f"h{h}", 78 + h, 92, 5.0, 3.7) for h in range(2, 12)),
+    ]
+    sc = Scenario(tb, tuple(f"h{h}" for h in range(12)), baseline, tuple(requests))
+    kernel = SimKernel(sc)
+    assert kernel.stretch_end[:4] == [3, 3, 3, 3]
+    assert kernel.stretch_end[9] == 80 and kernel.stretch_end[92] == n_steps
+    return kernel
+
+
+def test_skipping_an_idle_stretch_longer_than_a_day_changes_no_bit():
+    kernel = _long_idle_kernel()
+    windows = (
+        {},
+        {"start_step": 40, "warmup_steps": 0},
+        {"end_step": 60, "warmup_steps": 0},
+    )
+    _assert_skipping_changes_no_bit(kernel, windows)
+
+
+def test_an_idle_stretch_after_its_first_step_is_one_block_push(monkeypatch):
+    # 18 busy steps and 3 idle stretches: the first step of each stretch is
+    # one push, and the rest of it one block push.
+    calls = {"push": 0, "push_block": 0}
+    for name in calls:
+        method = getattr(RollingBuffer, name)
+
+        def counted(self, values, name=name, method=method):
+            calls[name] += 1
+            method(self, values)
+
+        monkeypatch.setattr(RollingBuffer, name, counted)
+    template = init_params(KIND_NN, "a", np.random.default_rng(0))
+    _long_idle_kernel().run(make_controller(template))
+    assert calls == {"push": 18 + 3, "push_block": 3}
+
+
+def test_a_request_left_short_fails_at_the_departure_that_opens_an_idle_stretch():
+    # 1 kW on the last step delivers 0.25 of h0's 1 kWh; its departure at
+    # step 4 opens an idle stretch that runs to the end.
+    sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0), n_steps=12)
+    kernel = SimKernel(sc)
+    assert kernel.idle[4:].all() and not kernel.idle[:4].any()
+    last_minute = Schedule(lambda rem_steps: rem_steps == 1, 1.0)
+    batch = BatchSchedule(Schedule(lambda rem_steps: rem_steps > 0, 4.0), last_minute)
+    messages = []
+    for controller in (last_minute, batch):
+        controller.idle_is_reset = True
+        for run_as in (controller, EveryStep(controller)):
+            with pytest.raises(SimulationIncomplete) as exc:
+                kernel.run(run_as, warmup_steps=0)
+            messages.append(str(exc.value))
+    assert messages == ["request for h0 departing at step 4 left 7.500e-01 kWh undelivered"] * 4
 
 
 def test_esn_is_stepped_at_idle_steps():
