@@ -223,11 +223,12 @@ def load_params(path: str | Path) -> ControllerParams:
     booleans or strings); `name` and `trained_with` a string or null. A field
     of another type, or a value ControllerParams rejects, raises a
     ParameterError that names the file and the field; bytes that do not
-    decode as JSON text raise one that names the file.
+    decode as JSON text, or nest deeper than the decoder's recursion limit,
+    raise one that names the file.
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: expected a JSON object")

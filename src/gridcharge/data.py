@@ -308,7 +308,7 @@ def read_splits_json(path: str | Path, timebase: Timebase) -> dict[str, tuple[in
         raise ValidationError(f"{path} is not a regular file")
     try:
         doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
     if not isinstance(doc, dict) or not isinstance(doc.get("splits"), dict):

@@ -13,11 +13,19 @@ summed bounds, stays a share of the request's own energy even at a huge
 rate limit.
 
 Solver: accelerated projected gradient (FISTA; Beck & Teboulle, SIAM J.
-Imaging Sci. 2009) with the exact step 1 / L, where L is twice the largest
-number of requests sharing one step, and a restart that drops the momentum
-whenever the objective rises. Each iteration makes one exact projection onto
-the per-request constraint sets (`project_capped_simplex`), warm-started
-from the previous iteration's shifts.
+Imaging Sci. 2009) with a step per time step, and a restart that drops the
+momentum whenever the objective rises. With n_t the number of requests that
+may charge at step t, cell (r, t) of the schedule takes the gradient step
+eta_rt = 1 / (2 max(n_t, 1)). That step is valid: the objective's Hessian is
+2 A^T A, where A sums each step's cells, and Cauchy-Schwarz gives
+(sum over r of z_rt)^2 <= n_t * sum over r of z_rt^2, so 2 A^T A <=
+diag(2 n_t) cell by cell. FISTA in the fixed metric diag(1 / eta) therefore
+keeps its O(1/k^2) guarantee (a diagonal preconditioner; Pock & Chambolle,
+ICCV 2011), and on the many steps where fewer requests are open than at the
+busiest one, it moves much further than one scalar step 1 / (2 max_t n_t)
+would. Each iteration makes one exact projection onto the per-request
+constraint sets in that same metric (`project_capped_simplex` with
+`weight=eta`), warm-started from the previous iteration's shifts.
 
 Certificate: with g the gradient at the iterate x, the Frank-Wolfe duality
 gap <g, x> - min over feasible s of <g, s> bounds f(x) - f* from above, by
@@ -26,6 +34,8 @@ cheapest steps up to its rate limit. `duality_gap` is that gap at the
 returned schedule, so no schedule meeting every request, and in particular
 no controller's, has a whole-horizon sum of squares below the oracle's minus
 `duality_gap`. `converged` means duality_gap <= rel_tol * max(1, f(x)).
+The gap does not depend on the solver's metric, so the certificate is the
+same whatever the step.
 
 What is certified is the whole-horizon sum of squares, not the post-warmup
 spread `objective_std(result)` that is reported like every other result: the
@@ -66,27 +76,35 @@ def project_capped_simplex(
     upper: np.ndarray,
     target: np.ndarray,
     *,
+    weight: np.ndarray | None = None,
     tau: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-wise Euclidean projection onto {x : 0 <= x <= upper, sum(x) = target}.
+    """Row-wise projection onto {x : 0 <= x <= upper, sum(x) = target} in the
+    metric diag(1 / weight): x minimizes sum((x - v)^2 / weight) there.
 
-    The projection is x = clip(v - tau, 0, upper) at the shift tau where the
-    row sum meets target; the row sum is piecewise linear and non-increasing
-    in tau. Each row runs a safeguarded Newton iteration on tau inside the
-    bracket [min(v - upper), max(v)]: the step tau + (sum - target) / #free,
-    or the bracket's midpoint when that step leaves the bracket or no entry
-    is free. A row stops once its sum matches target to rounding;
-    PROJECTION_ROUNDS caps the iterations.
+    The projection is x = clip(v - weight * tau, 0, upper) at the shift tau
+    where the row sum meets target; the row sum is piecewise linear and
+    non-increasing in tau. Each row runs a safeguarded Newton iteration on tau
+    inside the bracket [min((v - upper) / weight), max(v / weight)]: the step
+    tau + (sum - target) / (sum of the free entries' weights), or the
+    bracket's midpoint when that step leaves the bracket or no entry is free.
+    A row stops once its sum matches target to rounding; PROJECTION_ROUNDS
+    caps the iterations.
 
-    `tau`, when given, holds one starting shift per row and is overwritten
-    with the final shifts, so that a run of nearby projections can warm-start
-    each other. Rows must be feasible (target <= sum(upper)). Padding columns
-    with upper == 0 are pinned to zero; rows with target <= 0 give zeros and
-    rows with target >= sum(upper) give upper.
+    `weight` holds one positive weight per entry, padding included; without
+    it every weight is 1 and the projection is the Euclidean one (bit for
+    bit: multiplying and dividing by 1.0 is exact, and so is a float count of
+    free entries). `tau`, when given, holds one starting shift per row and is
+    overwritten with the final shifts, so that a run of nearby projections
+    can warm-start each other. Rows must be feasible (target <= sum(upper)).
+    Padding columns with upper == 0 are pinned to zero; rows with target <= 0
+    give zeros and rows with target >= sum(upper) give upper.
     """
+    if weight is None:
+        weight = np.ones_like(v)
     cap = upper.sum(axis=1)
-    lo = (v - upper).min(axis=1)
-    hi = v.max(axis=1)
+    lo = ((v - upper) / weight).min(axis=1)
+    hi = (v / weight).max(axis=1)
     shift = 0.5 * (lo + hi) if tau is None else np.clip(tau, lo, hi)
     empty = target <= 0.0
     full = ~empty & (target >= cap)
@@ -94,32 +112,39 @@ def project_capped_simplex(
     shift[full] = lo[full]
 
     rows = np.flatnonzero(~(empty | full))
-    va, ua, ta, lo, hi, sh = v[rows], upper[rows], target[rows], lo[rows], hi[rows], shift[rows]
+    va, ua, wa, ta = v[rows], upper[rows], weight[rows], target[rows]
+    lo, hi, sh = lo[rows], hi[rows], shift[rows]
     tol = ROW_SUM_RTOL * cap[rows]
+    # Every round works on all rows in the same buffers; a row that has
+    # converged keeps its shift, which is cheaper than compacting the arrays.
+    d, clipped = np.empty_like(va), np.empty_like(va)
+    free_mask, below_cap = np.empty(va.shape, bool), np.empty(va.shape, bool)
+    live = np.ones(rows.size, bool)
     for _ in range(PROJECTION_ROUNDS):
-        if rows.size == 0:
+        np.multiply(wa, sh[:, None], out=d)
+        np.subtract(va, d, out=d)
+        resid = np.clip(d, 0.0, ua, out=clipped).sum(axis=1) - ta
+        live &= np.abs(resid) > tol
+        if not live.any():
             break
-        d = va - sh[:, None]
-        resid = np.clip(d, 0.0, ua).sum(axis=1) - ta
-        shift[rows] = sh
-        live = np.abs(resid) > tol
-        if not live.all():
-            rows, va, ua, ta, lo, hi, sh, tol, resid, d = (
-                a[live] for a in (rows, va, ua, ta, lo, hi, sh, tol, resid, d)
-            )
         # A sum above target means the shift is too small.
         above = resid > 0.0
         lo = np.where(above, sh, lo)
         hi = np.where(above, hi, sh)
-        free = ((d > 0.0) & (d < ua)).sum(axis=1)
-        newton = sh + resid / np.maximum(free, 1)
-        inside = (free > 0) & (newton > lo) & (newton < hi)
-        sh = np.where(inside, newton, 0.5 * (lo + hi))
+        # The row sum's slope in tau is minus the free entries' summed weight.
+        np.greater(d, 0.0, out=free_mask)
+        free_mask &= np.less(d, ua, out=below_cap)
+        free = np.einsum("ij,ij->i", free_mask, wa)
+        newton = sh + resid / np.where(free > 0.0, free, 1.0)
+        inside = (free > 0.0) & (newton > lo) & (newton < hi)
+        sh = np.where(live, np.where(inside, newton, 0.5 * (lo + hi)), sh)
     shift[rows] = sh
 
     if tau is not None:
         tau[:] = shift
-    x = np.clip(v - shift[:, None], 0.0, upper)
+    x = np.multiply(weight, shift[:, None])
+    np.subtract(v, x, out=x)
+    np.clip(x, 0.0, upper, out=x)
     x[empty] = 0.0
     x[full] = upper[full]
     return x
@@ -186,10 +211,12 @@ def optimal_schedule(
     def gradient(load: np.ndarray) -> np.ndarray:
         return 2.0 * np.append(load, 0.0)[step_of]
 
-    # Exact Lipschitz constant of the gradient: twice the largest number of
-    # requests sharing one step.
-    max_overlap = max(float(by_step((upper > 0).astype(float)).max()), 1.0)
-    eta = 1.0 / (2.0 * max_overlap)
+    # One gradient step per time step, 1 / (2 max(n_t, 1)) with n_t the
+    # number of requests that may charge at t (see the module docstring).
+    # The scratch slot counts 0 and so gives padding cells a positive step,
+    # which the projection's weighted bracket divides by.
+    overlap = np.bincount(cells, weights=(upper > 0).ravel(), minlength=n_steps + 1)
+    eta = (1.0 / (2.0 * np.maximum(overlap, 1.0)))[step_of]
 
     # Start: every request at its flat rate, which is always feasible.
     x = np.where(upper > 0, (target / np.maximum(lengths, 1))[:, None], 0.0)
@@ -210,7 +237,9 @@ def optimal_schedule(
     converged = gap <= rel_tol * max(1.0, f)
     while not converged and iterations < max_iterations:
         iterations += 1
-        x_new = project_capped_simplex(y - eta * gradient(y_load), upper, target, tau=tau)
+        x_new = project_capped_simplex(
+            y - eta * gradient(y_load), upper, target, weight=eta, tau=tau
+        )
         load_new = base_total + by_step(x_new)
         f_new = float(np.dot(load_new, load_new))
         if f_new > f:

@@ -260,94 +260,98 @@ class SimKernel:
         stretch_end, departures, arrivals = self.stretch_end, self.departures, self.arrivals
         in_idle_stretch = True  # the controller is in its reset state
         t = start_step
-        while t < end:
-            if t in departures:
-                self._audit_departures(t, remaining)
-            if needs_features:
-                np.add(base[:, t], delivered, out=obs_house)
-                if grid_mode:
-                    obs[..., n_house] = np.add.reduce(obs_house, axis=-1)
-                buf.push(obs_rows)
-
-            i = t - start_step
-            if skip_idle and stretch_end[t] > t:
-                # No request is open: the controller would command 0 kW and
-                # end the step in its reset state, so only the history moves.
-                if not in_idle_stretch:
-                    controller.reset(n_house)
-                    delivered = no_delivery
-                    in_idle_stretch = True
-                # The rest of the stretch delivers nothing and holds no
-                # arrival or departure (a departure at s needs s - 1 covered,
-                # an arrival at s covers s): one block push and one write.
-                stop = min(stretch_end[t], end)
-                if needs_features and stop > t + 1:
-                    # Households along a contiguous axis, so that each step's
-                    # grid row is summed as the step above sums it.
-                    block = np.empty((stop - t - 1, rows))
-                    np.add(base[:, t + 1 : stop].T, 0.0, out=block[:, :n_house])
+        # A forward pass through huge but finite weights may overflow on its
+        # way to a clipped rate; a non-finite load is still caught below.
+        # One errstate per run keeps its cost off the step.
+        with np.errstate(over="ignore"):
+            while t < end:
+                if t in departures:
+                    self._audit_departures(t, remaining)
+                if needs_features:
+                    np.add(base[:, t], delivered, out=obs_house)
                     if grid_mode:
-                        np.add.reduce(block[:, :n_house], axis=-1, out=block[:, n_house])
-                    buf.push_block(block.T)
-                total = base_total[t:stop] + 0.0
-                finite = np.isfinite(total)
-                if not np.logical_and.reduce(finite):
-                    raise SimulationError(
-                        f"controller produced a non-finite load at step {t + int(np.argmin(finite))}"
+                        obs[..., n_house] = np.add.reduce(obs_house, axis=-1)
+                    buf.push(obs_rows)
+
+                i = t - start_step
+                if skip_idle and stretch_end[t] > t:
+                    # No request is open: the controller would command 0 kW and
+                    # end the step in its reset state, so only the history moves.
+                    if not in_idle_stretch:
+                        controller.reset(n_house)
+                        delivered = no_delivery
+                        in_idle_stretch = True
+                    # The rest of the stretch delivers nothing and holds no
+                    # arrival or departure (a departure at s needs s - 1 covered,
+                    # an arrival at s covers s): one block push and one write.
+                    stop = min(stretch_end[t], end)
+                    if needs_features and stop > t + 1:
+                        # Households along a contiguous axis, so that each step's
+                        # grid row is summed as the step above sums it.
+                        block = np.empty((stop - t - 1, rows))
+                        np.add(base[:, t + 1 : stop].T, 0.0, out=block[:, :n_house])
+                        if grid_mode:
+                            np.add.reduce(block[:, :n_house], axis=-1, out=block[:, n_house])
+                        buf.push_block(block.T)
+                    total = base_total[t:stop] + 0.0
+                    finite = np.isfinite(total)
+                    if not np.logical_and.reduce(finite):
+                        raise SimulationError(
+                            f"controller produced a non-finite load at step {t + int(np.argmin(finite))}"
+                        )
+                    grid[..., i : i + stop - t] = total
+                    t = stop
+                    continue
+
+                in_idle_stretch = False
+                arrival = arrivals.get(t)
+                if arrival is not None:
+                    remaining[..., arrival[0]] = arrival[1]
+
+                active = self.covered[t] & (remaining > FINISH_TOL_KWH)
+                headroom = self.headroom_tol[t]
+                stuck = remaining > headroom
+                if np.logical_or.reduce(stuck, axis=None):
+                    k, h = self._first_failure(stuck, remaining - headroom)
+                    raise SimulationIncomplete(
+                        f"household {self.scenario.household_ids[h]} cannot finish "
+                        f"its request from step {t}: "
+                        f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
                     )
-                grid[..., i : i + stop - t] = total
-                t = stop
-                continue
 
-            in_idle_stretch = False
-            arrival = arrivals.get(t)
-            if arrival is not None:
-                remaining[..., arrival[0]] = arrival[1]
+                max_kw = self.max_kw[t]
+                if needs_features:
+                    on = active.astype(float)
+                    x_clock[...] = self.clock[t]
+                    np.multiply(self.frac_steps[t], on, out=x_frac)
+                    np.multiply(remaining, self.inv_required[t], out=x_energy)
+                    x_energy *= on
+                    flat = remaining * self.inv_rem_energy[t]
+                    np.minimum(flat, max_kw, out=flat)
+                    flat *= self.inv_max_kw[t]
+                    flat *= on
+                    x_min_rate[...] = flat
+                    x_const_rate[...] = flat
+                    history_block(buf, steps_per_hour, out=hist_rows)
+                    x_own[...] = hist_own
+                    if grid_mode:
+                        x_grid[...] = hist_grid
 
-            active = self.covered[t] & (remaining > FINISH_TOL_KWH)
-            headroom = self.headroom_tol[t]
-            stuck = remaining > headroom
-            if np.logical_or.reduce(stuck, axis=None):
-                k, h = self._first_failure(stuck, remaining - headroom)
-                raise SimulationIncomplete(
-                    f"household {self.scenario.household_ids[h]} cannot finish "
-                    f"its request from step {t}: "
-                    f"{remaining.reshape(-1, n_house)[k, h]:.6f} kWh owed"
+                req = RequestState(
+                    active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
+                    max_kw, dh,
                 )
-
-            max_kw = self.max_kw[t]
-            if needs_features:
-                on = active.astype(float)
-                x_clock[...] = self.clock[t]
-                np.multiply(self.frac_steps[t], on, out=x_frac)
-                np.multiply(remaining, self.inv_required[t], out=x_energy)
-                x_energy *= on
-                flat = remaining * self.inv_rem_energy[t]
-                np.minimum(flat, max_kw, out=flat)
-                flat *= self.inv_max_kw[t]
-                flat *= on
-                x_min_rate[...] = flat
-                x_const_rate[...] = flat
-                history_block(buf, steps_per_hour, out=hist_rows)
-                x_own[...] = hist_own
-                if grid_mode:
-                    x_grid[...] = hist_grid
-
-            req = RequestState(
-                active, remaining, self.rem_steps[t], self.total_steps[t], self.required[t],
-                max_kw, dh,
-            )
-            speeds = controller.step(x, req)
-            delivered = np.maximum(remaining, 0.0)
-            delivered *= inv_dh
-            np.minimum(speeds, delivered, out=delivered)
-            charging[..., i] = delivered
-            remaining -= delivered * dh
-            total = base_total[t] + np.add.reduce(delivered, axis=-1)
-            if not (math.isfinite(total) if lone else np.logical_and.reduce(np.isfinite(total))):
-                raise SimulationError(f"controller produced a non-finite load at step {t}")
-            grid[..., i] = total
-            t += 1
+                speeds = controller.step(x, req)
+                delivered = np.maximum(remaining, 0.0)
+                delivered *= inv_dh
+                np.minimum(speeds, delivered, out=delivered)
+                charging[..., i] = delivered
+                remaining -= delivered * dh
+                total = base_total[t] + np.add.reduce(delivered, axis=-1)
+                if not (math.isfinite(total) if lone else np.logical_and.reduce(np.isfinite(total))):
+                    raise SimulationError(f"controller produced a non-finite load at step {t}")
+                grid[..., i] = total
+                t += 1
 
         self._audit_departures(end, remaining)
 

@@ -401,6 +401,38 @@ def test_undecodable_byte_exits_3_naming_the_file(dataset, trained, tmp_path, ca
     assert any(file in message for message in errors)
 
 
+def _nest_deeply(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+def test_deeply_nested_splits_json_exits_3_naming_the_file(dataset, trained, tmp_path, caplog):
+    rc, errors = _eval_copy(dataset, trained, tmp_path, caplog, "splits.json", _nest_deeply)
+    assert rc == 3
+    assert any("splits.json: not valid JSON" in message for message in errors)
+
+
+def test_deeply_nested_params_file_exits_3_naming_the_file(dataset, trained, tmp_path, caplog):
+    rc, errors = _eval_copy(dataset, trained, tmp_path, caplog, "params.json", _nest_deeply)
+    assert rc == 3
+    assert any("params.json: not valid JSON" in message for message in errors)
+
+
+def test_a_huge_finite_theta_evaluates_without_a_warning(dataset, trained, tmp_path):
+    # The suite turns every warning into an error (pyproject.toml), so an
+    # overflow warning from the forward pass would fail this run.
+    path = tmp_path / "huge.json"
+    doc = json.loads(trained.read_text())
+    doc["theta"] = [1e300] * len(doc["theta"])
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = run("eval", "--data", dataset, "--out", out, "--params", path, "--split", "all",
+             "--no-oracle")
+    assert rc == 0
+    with open(out / "summary.csv", newline="") as f:
+        stds = [float(row[1]) for row in list(csv.reader(f))[1:]]
+    assert np.all(np.isfinite(stds))
+
+
 def _lengthen_line(path, line, digit, count):
     """Append `count` copies of `digit` to line `line` (1-based) of the file."""
     lines = path.read_bytes().split(b"\r\n")

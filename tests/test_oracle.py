@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridcharge import oracle as oracle_module
 from gridcharge.controllers import BASELINE_KINDS, KIND_CONST, KIND_MAX, KIND_MIN, make_controller
-from gridcharge.data import synth_scenario
+from gridcharge.data import split_scenario, synth_scenario
 from gridcharge.domain import ChargingRequest, Scenario, Timebase
 from gridcharge.errors import SimulationError
 from gridcharge.oracle import OracleResult, optimal_schedule, project_capped_simplex
@@ -67,24 +67,28 @@ def test_projection_ignores_padding_columns():
     assert x[0].sum() == pytest.approx(4.0, abs=1e-10)
 
 
-def reference_projection(v, upper, target, rounds=200):
-    """Plain bisection on the shift, run far past rounding."""
-    lo = (v - upper).min(axis=1)
-    hi = v.max(axis=1)
+def reference_projection(v, upper, target, weight, rounds=200):
+    """Plain bisection on the shift of x = clip(v - weight * shift, 0, upper),
+    run far past rounding."""
+    lo = ((v - upper) / weight).min(axis=1)
+    hi = (v / weight).max(axis=1)
     for _ in range(rounds):
         mid = 0.5 * (lo + hi)
-        too_big = np.clip(v - mid[:, None], 0.0, upper).sum(axis=1) > target
+        too_big = np.clip(v - weight * mid[:, None], 0.0, upper).sum(axis=1) > target
         lo = np.where(too_big, mid, lo)
         hi = np.where(too_big, hi, mid)
-    return np.clip(v - hi[:, None], 0.0, upper)
+    return np.clip(v - weight * hi[:, None], 0.0, upper)
 
 
 @st.composite
 def projection_problems(draw):
-    """Random rows with padding columns, zero targets and full-capacity rows."""
+    """Random rows with padding columns, zero targets and full-capacity rows,
+    and positive per-cell weights: all 1, the oracle's 1 / (2 n) steps, or
+    spread over three orders of magnitude."""
     rows = draw(st.integers(1, 6))
     width = draw(st.integers(1, 10))
     scale = draw(st.sampled_from([0.01, 1.0, 30.0, 1000.0]))
+    weights = draw(st.sampled_from(["unit", "steps", "spread"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.normal(0.0, scale, (rows, width))
     upper = rng.uniform(0.1, 8.0, (rows, width)) * (rng.random((rows, width)) > 0.3)
@@ -92,16 +96,22 @@ def projection_problems(draw):
     kind = rng.integers(0, 4, rows)
     share[kind == 0] = 0.0
     share[kind == 1] = 1.0
-    return v, upper, share * upper.sum(axis=1)
+    if weights == "unit":
+        weight = np.ones((rows, width))
+    elif weights == "steps":
+        weight = 1.0 / (2.0 * rng.integers(1, 80, (rows, width)))
+    else:
+        weight = 10.0 ** rng.uniform(-2.0, 1.0, (rows, width))
+    return v, upper, share * upper.sum(axis=1), weight
 
 
 @settings(max_examples=200, deadline=None)
 @given(projection_problems())
 def test_projection_matches_bisection_reference(problem):
-    v, upper, target = problem
-    x = project_capped_simplex(v, upper, target)
+    v, upper, target, weight = problem
+    x = project_capped_simplex(v, upper, target, weight=weight)
     tol = 1e-9 * max(1.0, float(upper.sum(axis=1).max()))
-    assert np.allclose(x, reference_projection(v, upper, target), rtol=0.0, atol=tol)
+    assert np.allclose(x, reference_projection(v, upper, target, weight), rtol=0.0, atol=tol)
     assert np.allclose(x.sum(axis=1), target, rtol=0.0, atol=tol)
     assert np.all(x >= 0.0) and np.all(x <= upper)
     assert np.all(x[upper == 0.0] == 0.0)
@@ -113,15 +123,32 @@ def test_projection_matches_bisection_reference(problem):
 @settings(max_examples=200, deadline=None)
 @given(projection_problems(), st.integers(0, 2**32 - 1))
 def test_projection_warm_start_matches_cold_start(problem, seed):
-    v, upper, target = problem
-    cold = project_capped_simplex(v, upper, target)
+    v, upper, target, weight = problem
+    cold = project_capped_simplex(v, upper, target, weight=weight)
     tau = np.random.default_rng(seed).normal(0.0, 1e3, v.shape[0])
-    warm = project_capped_simplex(v, upper, target, tau=tau)
+    warm = project_capped_simplex(v, upper, target, weight=weight, tau=tau)
     tol = 1e-9 * max(1.0, float(upper.sum(axis=1).max()))
     assert np.allclose(warm, cold, rtol=0.0, atol=tol)
     # tau now holds the final shifts, and restarting from them changes nothing
-    again = project_capped_simplex(v, upper, target, tau=tau)
+    again = project_capped_simplex(v, upper, target, weight=weight, tau=tau)
     assert np.allclose(again, warm, rtol=0.0, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(projection_problems(), st.integers(0, 2**32 - 1))
+def test_projection_with_unit_weight_is_the_unweighted_projection(problem, seed):
+    v, upper, target, _ = problem
+    ones = np.ones_like(v)
+    assert np.array_equal(
+        project_capped_simplex(v, upper, target, weight=ones),
+        project_capped_simplex(v, upper, target),
+    )
+    tau = np.random.default_rng(seed).normal(0.0, 1e3, v.shape[0])
+    tau_unit = tau.copy()
+    plain = project_capped_simplex(v, upper, target, tau=tau)
+    unit = project_capped_simplex(v, upper, target, weight=ones, tau=tau_unit)
+    assert np.array_equal(unit, plain)
+    assert np.array_equal(tau_unit, tau)
 
 
 def test_projection_runs_once_per_iteration(monkeypatch):
@@ -137,6 +164,15 @@ def test_projection_runs_once_per_iteration(monkeypatch):
     res = optimal_schedule(sc)
     assert res.iterations > 0
     assert len(calls) == res.iterations
+
+
+def test_oracle_converges_within_40_iterations_on_a_week_of_20_households():
+    """The per-step gradient step: one scalar step set by the busiest step of
+    the split took 110 iterations here. Iteration counts are deterministic."""
+    sc, splits, _ = synth_scenario(n_households=20, split_days=(7, 2, 3), seed=11)
+    res = optimal_schedule(split_scenario(sc, splits, "train"))
+    assert res.converged
+    assert res.iterations <= 40
 
 
 def test_two_step_toy_solved_exactly():
