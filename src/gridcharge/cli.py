@@ -273,7 +273,9 @@ def _controller_results(
 
 
 def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._+-]+", "_", name).strip("_") or "controller"
+    # Never empty, `.` or `..`: a directory inside the report.
+    safe = re.sub(r"[^A-Za-z0-9._+-]+", "_", name).strip("_")
+    return safe if safe.strip(".") else "controller"
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -292,7 +294,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     rows = _controller_results(eval_scenario, args.params or [])
     summary_rows = []
-    used_names = set()
+    # The oracle's directory and the summary are never a controller's.
+    used_names = {"oracle", "summary.csv"}
     for name, result in rows:
         dir_name = _safe_name(name)
         if dir_name in used_names:

@@ -24,16 +24,20 @@ keeps its O(1/k^2) guarantee (a diagonal preconditioner; Pock & Chambolle,
 ICCV 2011), and on the many steps where fewer requests are open than at the
 busiest one, it moves much further than one scalar step 1 / (2 max_t n_t)
 would. Each iteration makes one exact projection onto the per-request
-constraint sets in that same metric (`project_capped_simplex` with
-`weight=eta`), warm-started from the previous iteration's shifts.
+constraint sets in that same metric (`project_capped_simplex`, weighted by
+eta), warm-started from the previous iteration's shifts. The solver stops
+once it has converged, or after MAX_ITERATIONS iterations.
 
 Certificate: with g the gradient at the iterate x, the Frank-Wolfe duality
 gap <g, x> - min over feasible s of <g, s> bounds f(x) - f* from above, by
-convexity; each request's minimum is a fractional knapsack that fills its
-cheapest steps up to its rate limit. `duality_gap` is that gap at the
-returned schedule, so no schedule meeting every request, and in particular
-no controller's, has a whole-horizon sum of squares below the oracle's minus
-`duality_gap`. `converged` means duality_gap <= rel_tol * max(1, f(x)).
+convexity. It is a sum of one gap per request, <g_r, x_r> less the minimum
+of a fractional knapsack that fills the request's cheapest steps up to its
+rate limit. Each request's gap is at least 0 in exact arithmetic, because
+x_r is feasible for its own knapsack; each is clamped at 0 against
+rounding, so `duality_gap`, that sum at the returned schedule, is never
+negative. No schedule meeting every request, and in particular no
+controller's, has a whole-horizon sum of squares below the oracle's minus
+`duality_gap`. `converged` means duality_gap <= REL_TOL * max(1, f(x)).
 The gap does not depend on the solver's metric, so the certificate is the
 same whatever the step.
 
@@ -54,6 +58,7 @@ from .errors import SimulationError
 from .simulator import no_charge_result, resolve_warmup
 
 REL_TOL = 1e-9  # converged: duality gap at most REL_TOL * max(1, objective)
+MAX_ITERATIONS = 200_000  # the solver stops here, converged or not
 ROW_SUM_RTOL = 1e-12  # a projected row matches its target to this share of its cap
 CHECK_EVERY = 10  # iterations between duality-gap checks
 PROJECTION_ROUNDS = 60  # cap on a projection's Newton/bisection iterations per row
@@ -76,8 +81,8 @@ def project_capped_simplex(
     upper: np.ndarray,
     target: np.ndarray,
     *,
-    weight: np.ndarray | None = None,
-    tau: np.ndarray | None = None,
+    weight: np.ndarray,
+    tau: np.ndarray,
 ) -> np.ndarray:
     """Row-wise projection onto {x : 0 <= x <= upper, sum(x) = target} in the
     metric diag(1 / weight): x minimizes sum((x - v)^2 / weight) there.
@@ -91,21 +96,17 @@ def project_capped_simplex(
     A row stops once its sum matches target to rounding; PROJECTION_ROUNDS
     caps the iterations.
 
-    `weight` holds one positive weight per entry, padding included; without
-    it every weight is 1 and the projection is the Euclidean one (bit for
-    bit: multiplying and dividing by 1.0 is exact, and so is a float count of
-    free entries). `tau`, when given, holds one starting shift per row and is
-    overwritten with the final shifts, so that a run of nearby projections
-    can warm-start each other. Rows must be feasible (target <= sum(upper)).
+    `weight` holds one positive weight per entry, padding included. `tau`
+    holds one starting shift per row and is overwritten with the final
+    shifts, so that a run of nearby projections can warm-start each other.
+    Rows must be feasible (target <= sum(upper)).
     Padding columns with upper == 0 are pinned to zero; rows with target <= 0
     give zeros and rows with target >= sum(upper) give upper.
     """
-    if weight is None:
-        weight = np.ones_like(v)
     cap = upper.sum(axis=1)
     lo = ((v - upper) / weight).min(axis=1)
     hi = (v / weight).max(axis=1)
-    shift = 0.5 * (lo + hi) if tau is None else np.clip(tau, lo, hi)
+    shift = np.clip(tau, lo, hi, out=tau)
     empty = target <= 0.0
     full = ~empty & (target >= cap)
     shift[empty] = hi[empty]
@@ -140,8 +141,6 @@ def project_capped_simplex(
         sh = np.where(live, np.where(inside, newton, 0.5 * (lo + hi)), sh)
     shift[rows] = sh
 
-    if tau is not None:
-        tau[:] = shift
     x = np.multiply(weight, shift[:, None])
     np.subtract(v, x, out=x)
     np.clip(x, 0.0, upper, out=x)
@@ -164,19 +163,13 @@ def _knapsack_minimum(g: np.ndarray, upper: np.ndarray, target: np.ndarray) -> n
     return (g_sorted * fill).sum(axis=1)
 
 
-def optimal_schedule(
-    scenario: Scenario,
-    *,
-    warmup_steps: int | None = None,
-    max_iterations: int = 200_000,
-    rel_tol: float = REL_TOL,
-) -> OracleResult:
+def optimal_schedule(scenario: Scenario, *, warmup_steps: int | None = None) -> OracleResult:
     """Jointly optimal charging schedule for a whole scenario.
 
     Minimizes the sum of squared total loads over all steps; the reported
     spread (like every other result in the toolkit) is computed after
     warmup. Every CHECK_EVERY iterations the duality gap is computed, and
-    the solver stops as converged once it is at most `rel_tol * max(1, f)`.
+    the solver stops as converged once it is at most `REL_TOL * max(1, f)`.
     A negative warmup, or one that leaves no step, raises SimulationError.
     """
     tb = scenario.timebase
@@ -226,7 +219,8 @@ def optimal_schedule(
 
     def duality_gap() -> float:
         g = gradient(load)
-        return float(np.sum(g * x) - _knapsack_minimum(g, upper, target).sum())
+        per_request = (g * x).sum(axis=1) - _knapsack_minimum(g, upper, target)
+        return float(np.maximum(per_request, 0.0).sum())
 
     # FISTA with function-value restart: y is the extrapolated point and
     # y_load = base_total + by_step(y), kept by linearity.
@@ -234,8 +228,8 @@ def optimal_schedule(
     tau = np.zeros(n_req)
     iterations = 0
     gap = duality_gap()
-    converged = gap <= rel_tol * max(1.0, f)
-    while not converged and iterations < max_iterations:
+    converged = gap <= REL_TOL * max(1.0, f)
+    while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
         x_new = project_capped_simplex(
             y - eta * gradient(y_load), upper, target, weight=eta, tau=tau
@@ -250,9 +244,9 @@ def optimal_schedule(
         y = x_new + beta * (x_new - x)
         y_load = load_new + beta * (load_new - load)
         x, load, f, t = x_new, load_new, f_new, t_next
-        if iterations % CHECK_EVERY == 0 or iterations == max_iterations:
+        if iterations % CHECK_EVERY == 0 or iterations == MAX_ITERATIONS:
             gap = duality_gap()
-            converged = gap <= rel_tol * max(1.0, f)
+            converged = gap <= REL_TOL * max(1.0, f)
 
     delivered = x.sum(axis=1) * tb.step_hours
     worst = float(np.max(np.abs(delivered - np.array([r.required_energy for r in requests]))))

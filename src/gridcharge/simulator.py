@@ -116,7 +116,7 @@ class SimKernel:
         # request's interval. Inverses are precomputed so the hot loop only
         # multiplies.
         shape = (n_steps, n_house)
-        self.covered = np.zeros(shape, dtype=bool)
+        covered = np.zeros(shape, dtype=bool)
         self.rem_steps = np.zeros(shape)
         self.total_steps = np.zeros(shape)
         self.required = np.zeros(shape)
@@ -127,15 +127,16 @@ class SimKernel:
         self.inv_max_kw = np.zeros(shape)
         self.headroom_tol = np.full(shape, ENERGY_TOL_KWH)  # deliverable + tolerance
 
-        # Sparse per-step events: request arrivals refill the energy owed,
-        # departures assert it was served.
+        # Sparse per-step events: request arrivals set the energy owed,
+        # departures assert it was served and zero it. So it is the one record
+        # of an open request: nonzero only while one is.
         arrivals: dict[int, tuple[list[int], list[float]]] = {}
         departures: dict[int, list[int]] = {}
         dh = tb.step_hours
         for h, req in zip(scenario.request_rows.tolist(), scenario.requests):
             t0, t1 = req.t_arrive, req.t_depart
             left = (t1 - np.arange(t0, t1)).astype(float)
-            self.covered[t0:t1, h] = True
+            covered[t0:t1, h] = True
             self.rem_steps[t0:t1, h] = left
             self.total_steps[t0:t1, h] = t1 - t0
             self.required[t0:t1, h] = req.required_energy
@@ -158,13 +159,11 @@ class SimKernel:
             for t, (rows, vals) in arrivals.items()
         }
         self.departures = {t: np.asarray(rows, dtype=np.intp) for t, rows in departures.items()}
-        # Steps at which no household has an open request, and for each step
-        # the first step from it on that has one (n_steps if none does): step
-        # t is idle when stretch_end[t] > t, and its stretch runs to
-        # stretch_end[t]. A list, because the step loop reads one entry at a
-        # time.
-        self.idle = ~self.covered.any(axis=1)
-        busy = np.flatnonzero(~self.idle)
+        # For each step the first step from it on at which some household has
+        # an open request (n_steps if none does): step t is idle when
+        # stretch_end[t] > t, and its stretch runs to stretch_end[t]. A list,
+        # because the step loop reads one entry at a time.
+        busy = np.flatnonzero(covered.any(axis=1))
         self.stretch_end = np.append(busy, n_steps)[
             np.searchsorted(busy, np.arange(n_steps))
         ].tolist()
@@ -178,6 +177,7 @@ class SimKernel:
         return k, int(np.argmax(score.reshape(-1, width)[k]))
 
     def _audit_departures(self, t: int, remaining: np.ndarray) -> None:
+        """Raise if a request departing at step t still owes energy, else zero it."""
         rows = self.departures.get(t)
         if rows is None:
             return
@@ -190,6 +190,7 @@ class SimKernel:
                 f"request for {self.scenario.household_ids[h]} departing at "
                 f"step {t} left {float(owed.reshape(-1, len(rows))[k, j]):.3e} kWh undelivered"
             )
+        remaining[..., rows] = 0.0
 
     def run(
         self,
@@ -282,8 +283,8 @@ class SimKernel:
                         delivered = no_delivery
                         in_idle_stretch = True
                     # The rest of the stretch delivers nothing and holds no
-                    # arrival or departure (a departure at s needs s - 1 covered,
-                    # an arrival at s covers s): one block push and one write.
+                    # arrival or departure (a departure at s needs s - 1 busy, an
+                    # arrival at s makes s busy): one block push and one write.
                     stop = min(stretch_end[t], end)
                     if needs_features and stop > t + 1:
                         # Households along a contiguous axis, so that each step's
@@ -293,13 +294,9 @@ class SimKernel:
                         if grid_mode:
                             np.add.reduce(block[:, :n_house], axis=-1, out=block[:, n_house])
                         buf.push_block(block.T)
-                    total = base_total[t:stop] + 0.0
-                    finite = np.isfinite(total)
-                    if not np.logical_and.reduce(finite):
-                        raise SimulationError(
-                            f"controller produced a non-finite load at step {t + int(np.argmin(finite))}"
-                        )
-                    grid[..., i : i + stop - t] = total
+                    # Finite, as a scenario's baselines are; + 0.0 turns a -0.0
+                    # total into +0.0, as the step below does.
+                    grid[..., i : i + stop - t] = base_total[t:stop] + 0.0
                     t = stop
                     continue
 
@@ -308,7 +305,7 @@ class SimKernel:
                 if arrival is not None:
                     remaining[..., arrival[0]] = arrival[1]
 
-                active = self.covered[t] & (remaining > FINISH_TOL_KWH)
+                active = remaining > FINISH_TOL_KWH
                 headroom = self.headroom_tol[t]
                 stuck = remaining > headroom
                 if np.logical_or.reduce(stuck, axis=None):

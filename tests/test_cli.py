@@ -255,6 +255,61 @@ def test_eval_duplicate_names_get_distinct_dirs(dataset, trained, tmp_path):
     assert (out / "nn-a+cma_2").is_dir()
 
 
+def named_params(trained, tmp_path, name):
+    """A copy of the trained params file that carries `name`."""
+    params = load_params(trained)
+    params.name = name
+    path = tmp_path / f"params-{name.encode().hex()}.json"
+    save_params(params, path)
+    return path
+
+
+REPORT_FILES = ("loads_out.csv", "metrics.json", "changes.csv")
+
+
+def test_eval_names_made_of_dots_stay_inside_the_report(dataset, trained, tmp_path):
+    out = tmp_path / "outer" / "report"
+    rc = run(
+        "eval", "--data", dataset, "--out", out, "--no-oracle",
+        "--params", named_params(trained, tmp_path, ".."),
+        "--params", named_params(trained, tmp_path, "."),
+    )
+    assert rc == 0
+    for stray in (out, out.parent):
+        assert not any((stray / f).exists() for f in REPORT_FILES)
+    for run_dir in (out / "controller", out / "controller_2"):
+        assert all((run_dir / f).is_file() for f in REPORT_FILES)
+
+
+def test_eval_a_controller_named_summary_csv_leaves_the_summary_its_path(
+    dataset, trained, tmp_path
+):
+    out = tmp_path / "report"
+    rc = run(
+        "eval", "--data", dataset, "--out", out, "--no-oracle",
+        "--params", named_params(trained, tmp_path, "summary.csv"),
+    )
+    assert rc == 0
+    with open(out / "summary.csv", newline="") as f:
+        assert [r[0] for r in csv.reader(f)][-1] == "summary.csv"
+    assert all((out / "summary.csv_2" / f).is_file() for f in REPORT_FILES)
+
+
+def test_eval_a_controller_named_oracle_leaves_the_oracle_its_directory(
+    dataset, trained, tmp_path
+):
+    out = tmp_path / "report"
+    rc = run(
+        "eval", "--data", dataset, "--out", out,
+        "--params", named_params(trained, tmp_path, "oracle"),
+    )
+    assert rc == 0
+    assert sorted(p.name for p in (out / "oracle").iterdir()) == [
+        "oracle_metrics.json", "oracle_schedule.csv"
+    ]
+    assert all((out / "oracle_2" / f).is_file() for f in REPORT_FILES)
+
+
 def test_missing_dataset_exits_3(tmp_path):
     assert run("eval", "--data", tmp_path / "nope", "--out", tmp_path / "o") == 3
     assert run("train", "--data", tmp_path / "nope", "--out", tmp_path / "p.json") == 3
@@ -574,6 +629,10 @@ def test_safe_name():
     assert _safe_name("nn-a+cma") == "nn-a+cma"
     assert _safe_name("my controller/v2") == "my_controller_v2"
     assert _safe_name("///") == "controller"
+    assert _safe_name(".") == "controller"
+    assert _safe_name("..") == "controller"
+    assert _safe_name("/../") == "controller"
+    assert _safe_name("v1.2") == "v1.2"
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,31 @@ def test_departure_audit_flags_energy_still_owed():
         SimKernel(sc).run(last_minute, warmup_steps=0)
 
 
+class StateRecorder(Schedule):
+    """A Schedule that also copies each step's energy owed and active flags."""
+
+    def reset(self, n):
+        self.owed, self.active = [], []
+
+    def step(self, x, req):
+        self.owed.append(req.remaining_kwh.copy())
+        self.active.append(req.active.copy())
+        return super().step(x, req)
+
+
+def test_request_state_is_zero_where_no_request_is_open():
+    # One step at 4 kW less 2e-6 leaves 5e-7 of h0's 1 kWh owed, within the
+    # departure audit's tolerance; from the departure at step 4 on, h0 owes
+    # nothing.
+    sc = one_request_scenario(ChargingRequest("h0", 1, 4, 1.0, 8.0))
+    recorder = StateRecorder(lambda rem_steps: rem_steps == 3, (1.0 - 5e-7) / 0.25)
+    SimKernel(sc).run(recorder, warmup_steps=0)
+    owed = np.array(recorder.owed)[:, 0]
+    assert owed[1] == 1.0 and owed[2:4] == pytest.approx([5e-7, 5e-7])
+    assert np.all(owed[[0, 4, 5, 6, 7]] == 0.0)
+    assert np.array(recorder.active)[:, 0].tolist() == [False, True, True, True] + [False] * 4
+
+
 def test_non_finite_controller_output_is_an_error():
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0))
     with pytest.raises(SimulationError, match="non-finite"):
@@ -216,9 +241,14 @@ def test_controller_without_idle_is_reset_is_stepped_at_idle_steps():
     # No request is open before step 4, so step 0 is idle; a controller that
     # does not declare idle_is_reset is still stepped there.
     sc = one_request_scenario(ChargingRequest("h0", 4, 8, 1.0, 8.0))
-    assert SimKernel(sc).idle[0]
+    assert SimKernel(sc).stretch_end[0] > 0
     with pytest.raises(SimulationError, match="non-finite load at step 0$"):
         SimKernel(sc).run(NanController(), warmup_steps=0)
+
+
+def idle_steps(kernel):
+    """Per step, whether no household has an open request there."""
+    return np.array(kernel.stretch_end) > np.arange(len(kernel.stretch_end))
 
 
 def _idle_sign_scenario(step_seconds):
@@ -258,7 +288,7 @@ def _assert_skipping_changes_no_bit(kernel, windows):
 def test_skipping_idle_steps_changes_no_bit(step_seconds):
     sc = _idle_sign_scenario(step_seconds)
     kernel = SimKernel(sc)
-    idle = kernel.idle
+    idle = idle_steps(kernel)
     assert idle.any() and not idle.all()
     # steps inside an idle stretch: idle before, at and after them
     inside = np.flatnonzero(idle[:-2] & idle[1:-1] & idle[2:]) + 1
@@ -330,7 +360,8 @@ def test_a_request_left_short_fails_at_the_departure_that_opens_an_idle_stretch(
     # step 4 opens an idle stretch that runs to the end.
     sc = one_request_scenario(ChargingRequest("h0", 0, 4, 1.0, 8.0), n_steps=12)
     kernel = SimKernel(sc)
-    assert kernel.idle[4:].all() and not kernel.idle[:4].any()
+    idle = idle_steps(kernel)
+    assert idle[4:].all() and not idle[:4].any()
     last_minute = Schedule(lambda rem_steps: rem_steps == 1, 1.0)
     batch = BatchSchedule(Schedule(lambda rem_steps: rem_steps > 0, 4.0), last_minute)
     messages = []
